@@ -1,19 +1,19 @@
 /**
  * @file
  * Execution throughput: instructions per second of the simulated
- * processor under the two dispatch engines — the legacy per-
- * instruction switch (state reset + virtual execute + opcode
- * switch, names rehashed on every profile event) and the direct-
- * threaded engine (cached handler pointers, chained trace-tier
- * superblocks, translation-time block IDs). Every configuration
- * runs warm: an adaptive first pass promotes the hot functions to
- * -O2+traces, then the timed runs execute from the same code cache
- * with profiling left on — the whole point of making profiling
- * cheap is never switching it off.
+ * processor (direct-threaded handlers, chained trace-tier
+ * superblocks, translation-time block IDs), with the always-on
+ * profile exact and 1-in-32 sampled. Every configuration runs warm:
+ * an adaptive first pass promotes the hot functions to -O2+traces,
+ * then the timed runs execute from the same code cache with
+ * profiling left on — the whole point of making profiling cheap is
+ * never switching it off.
  *
  * The reference interpreter (itself computed-goto threaded) is
- * timed alongside for scale. Results land in BENCH_throughput.json
- * so CI can archive and diff them.
+ * timed alongside for scale and is the oracle: any value or output
+ * divergence from it is fatal. The table is printed as the markdown
+ * EXPERIMENTS.md embeds (section A8), and the rows land in
+ * BENCH_throughput.json so CI can archive and diff them.
  */
 
 #include <benchmark/benchmark.h>
@@ -50,9 +50,7 @@ constexpr double kMinSeconds = 0.2;
 constexpr int kMinRuns = 3;
 
 Measured
-measureSim(Module &m, Target &target,
-           MachineSimulator::Dispatch dispatch,
-           uint64_t sampleInterval = 1)
+measureSim(Module &m, Target &target, uint64_t sampleInterval = 1)
 {
     CodeManager cm(target, adaptiveOpts());
     EdgeProfile profile;
@@ -63,7 +61,6 @@ measureSim(Module &m, Target &target,
     {
         ExecutionContext ctx(m);
         MachineSimulator sim(ctx, cm);
-        sim.setDispatch(dispatch);
         sim.setProfile(&profile);
         auto r = sim.run(m.getFunction("main"));
         if (!r.ok())
@@ -79,7 +76,6 @@ measureSim(Module &m, Target &target,
          ++runs) {
         ExecutionContext ctx(m);
         MachineSimulator sim(ctx, cm);
-        sim.setDispatch(dispatch);
         sim.setProfile(&profile);
         sim.setProfileSampleInterval(sampleInterval);
         Timer t;
@@ -123,19 +119,19 @@ measureInterp(Module &m)
 int
 main(int argc, char **argv)
 {
-    std::printf("Execution throughput: switch dispatch vs direct-"
-                "threaded + chained superblocks (warm -O2+traces, "
-                "profiling on)\n");
-    hr('=');
-    std::printf("%-18s %11s %11s %11s %11s %8s %7s\n", "Program",
-                "interp(M/s)", "switch(M/s)", "thread(M/s)",
-                "+smpl(M/s)", "speedup", "chains");
-    hr();
-
-    // The full new engine samples its always-on profile (every Nth
+    // The full engine samples its always-on profile (every Nth
     // event, weight N — totals stay in execution units, so the
     // promotion watermark needs no rescaling).
     constexpr uint64_t kSampleInterval = 32;
+
+    std::printf("Execution throughput, x86, warm -O2+traces, "
+                "profiling on (M/s = million simulated machine "
+                "instructions per wall-clock second)\n\n");
+    std::printf("| Program | interp (M/s) | threaded (M/s) | "
+                "+sample %llu (M/s) | chained |\n",
+                (unsigned long long)kSampleInterval);
+    std::printf("|---------|-------------:|---------------:|"
+                "-----------------:|--------:|\n");
 
     Target &target = *getTarget("x86");
     JsonReport report("throughput");
@@ -143,71 +139,34 @@ main(int argc, char **argv)
         auto m = prepared(info);
 
         Measured in = measureInterp(*m);
-        Measured sw = measureSim(
-            *m, target, MachineSimulator::Dispatch::Switch);
-        Measured th = measureSim(
-            *m, target, MachineSimulator::Dispatch::Threaded);
-        Measured ts = measureSim(
-            *m, target, MachineSimulator::Dispatch::Threaded,
-            kSampleInterval);
-        if (sw.value != th.value || sw.output != th.output ||
-            ts.value != th.value || ts.output != th.output)
-            fatal("dispatch divergence in %s", info.name.c_str());
+        Measured th = measureSim(*m, target);
+        Measured ts = measureSim(*m, target, kSampleInterval);
+        if (th.value != in.value || th.output != in.output ||
+            ts.value != in.value || ts.output != in.output)
+            fatal("simulator diverges from the interpreter in %s",
+                  info.name.c_str());
 
-        double speedupExact = sw.ips > 0 ? th.ips / sw.ips : 0;
-        double speedup = sw.ips > 0 ? ts.ips / sw.ips : 0;
-        std::printf("%-18s %11.2f %11.2f %11.2f %11.2f %7.2fx "
-                    "%7zu\n",
-                    info.name.c_str(), in.ips / 1e6, sw.ips / 1e6,
-                    th.ips / 1e6, ts.ips / 1e6, speedup,
-                    ts.chained);
+        std::printf("| %s | %.1f | %.1f | %.1f | %zu |\n",
+                    info.name.c_str(), in.ips / 1e6, th.ips / 1e6,
+                    ts.ips / 1e6, ts.chained);
         report.beginRow()
             .field("program", info.name)
             .field("interp_ips", in.ips)
-            .field("switch_ips", sw.ips)
             .field("threaded_ips", th.ips)
             .field("threaded_sampled_ips", ts.ips)
-            .field("speedup_exact_profile", speedupExact)
-            .field("speedup", speedup)
             .field("promotions", double(ts.promotions))
             .field("chained_functions", double(ts.chained));
     }
-    hr();
+    std::printf("\n");
     report.write();
-    std::printf("IPS = simulated machine instructions per wall-"
-                "clock second, timed warm (translations cached, "
-                "hot functions already at -O2+traces), profiling "
-                "on. switch = legacy engine (exact counts, "
-                "rehashed IDs); thread = direct-threaded + chained "
-                "superblocks, exact counts; +smpl adds 1-in-%llu "
-                "sampled counters. speedup = +smpl/switch.\n",
-                (unsigned long long)kSampleInterval);
 
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     return 0;
 }
 
-// Timed: one warm run of the first workload under each dispatch
-// engine, for `--benchmark_filter` style comparisons.
-static void
-BM_SwitchDispatch(benchmark::State &state)
-{
-    auto m = prepared(allWorkloads()[0]);
-    CodeManager cm(*getTarget("x86"), adaptiveOpts());
-    EdgeProfile profile;
-    cm.setAdaptive(&profile, 500);
-    for (auto _ : state) {
-        ExecutionContext ctx(*m);
-        MachineSimulator sim(ctx, cm);
-        sim.setDispatch(MachineSimulator::Dispatch::Switch);
-        sim.setProfile(&profile);
-        benchmark::DoNotOptimize(
-            sim.run(m->getFunction("main")).value.i);
-    }
-}
-BENCHMARK(BM_SwitchDispatch);
-
+// Timed: one warm run of the first workload, for
+// `--benchmark_filter` style comparisons.
 static void
 BM_ThreadedDispatch(benchmark::State &state)
 {
@@ -218,7 +177,6 @@ BM_ThreadedDispatch(benchmark::State &state)
     for (auto _ : state) {
         ExecutionContext ctx(*m);
         MachineSimulator sim(ctx, cm);
-        sim.setDispatch(MachineSimulator::Dispatch::Threaded);
         sim.setProfile(&profile);
         benchmark::DoNotOptimize(
             sim.run(m->getFunction("main")).value.i);

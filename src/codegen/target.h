@@ -101,16 +101,6 @@ struct SimState
     TrapKind trapKind = TrapKind::None;
 
     void
-    reset()
-    {
-        next = Next::Fall;
-        branchTarget = nullptr;
-        callTarget = nullptr;
-        callAddr = 0;
-        trapKind = TrapKind::None;
-    }
-
-    void
     trap(TrapKind k)
     {
         next = Next::Trap;
@@ -166,19 +156,15 @@ class Target
     virtual std::vector<uint8_t> encode(const MachineInstr &mi)
         const = 0;
 
-    /** Execute one instruction against the architectural state. */
-    virtual void execute(const MachineInstr &mi, SimState &state)
-        const = 0;
-
     /**
-     * The direct-threaded dispatch handler for \p mi: a free
-     * function implementing exactly what execute() would do for
-     * this opcode. Handlers assume the driver set state.next =
-     * Fall before the call (no full reset()): every consumer field
-     * (branchTarget, callTarget/callAddr, trapKind) is written by
-     * the handler that requests the corresponding Next value, so
-     * stale values are never observed. The simulator caches the
-     * result on the instruction (MachineInstr::exec).
+     * The execution semantics of \p mi: a free function that runs
+     * it against the architectural state. Handlers assume the
+     * simulator set state.next = Fall before the call: every
+     * consumer field (branchTarget, callTarget/callAddr, trapKind)
+     * is written by the handler that requests the corresponding
+     * Next value, so stale values are never observed. The simulator
+     * caches the result on the instruction (cachedHandler,
+     * vm/chain.h).
      */
     virtual ExecFn handlerFor(const MachineInstr &mi) const = 0;
 
@@ -191,12 +177,12 @@ class Target
 
     /** Place \p args where a callee of type \p ft expects them. */
     virtual void writeArgs(SimState &state, const FunctionType *ft,
-                           const std::vector<RtValue> &args) const;
+                           const std::vector<RtValue> &args) const = 0;
 
     /** Read the arguments a caller just placed for callee \p ft. */
     virtual std::vector<RtValue> readArgs(SimState &state,
                                           const FunctionType *ft)
-        const;
+        const = 0;
 
     /** Deposit a return value where callers expect it. */
     virtual void writeReturn(SimState &state, const Type *type,

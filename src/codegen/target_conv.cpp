@@ -1,47 +1,12 @@
 /**
  * @file
- * Default calling-convention marshalling: the fully stack-based
- * convention (all arguments in the caller's outgoing area at sp+8i).
- * Register-argument targets override these.
+ * Return-value marshalling, shared by every target: returns live in
+ * the target's return register of the value's class.
  */
 
 #include "codegen/target.h"
 
 namespace llva {
-
-void
-Target::writeArgs(SimState &state, const FunctionType *ft,
-                  const std::vector<RtValue> &args) const
-{
-    for (size_t i = 0; i < args.size(); ++i) {
-        uint64_t addr = state.sp + 8 * i;
-        bool fp = i < ft->numParams() &&
-                  ft->paramType(i)->isFloatingPoint();
-        if (fp)
-            state.mem->storeFP(addr, false, args[i].f);
-        else
-            state.mem->store(addr, 8, args[i].i);
-    }
-}
-
-std::vector<RtValue>
-Target::readArgs(SimState &state, const FunctionType *ft) const
-{
-    std::vector<RtValue> args(ft->numParams());
-    for (size_t i = 0; i < ft->numParams(); ++i) {
-        uint64_t addr = state.sp + 8 * i;
-        if (ft->paramType(i)->isFloatingPoint()) {
-            double v = 0;
-            state.mem->loadFP(addr, false, v);
-            args[i] = RtValue::ofFP(v);
-        } else {
-            uint64_t v = 0;
-            state.mem->load(addr, 8, v);
-            args[i] = RtValue::ofInt(v);
-        }
-    }
-    return args;
-}
 
 void
 Target::writeReturn(SimState &state, const Type *type,

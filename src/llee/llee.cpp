@@ -218,7 +218,6 @@ LLEE::execute(const std::vector<uint8_t> &bytecode,
 
     ExecutionContext ctx(*m);
     MachineSimulator sim(ctx, cm);
-    sim.setDispatch(dispatch_);
     sim.setProfileSampleInterval(sampleInterval_);
     if (opts_.adaptive)
         sim.setProfile(&profile);

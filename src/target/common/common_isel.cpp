@@ -56,6 +56,275 @@ setccRel(Opcode op)
 
 } // namespace
 
+void
+CommonISel::runOn(const Function &f, MachineFunction &mf)
+{
+    mf_ = &mf;
+    f_ = &f;
+    vregs_.clear();
+    blockMap_.clear();
+    edgeBlock_.clear();
+    staticAllocas_.clear();
+    pointerSize_ = f.parent()->pointerSize();
+
+    for (const auto &bb : f)
+        blockMap_[bb.get()] = mf.createBlock(bb->name());
+
+    cur_ = blockMap_[f.entryBlock()];
+    lowerArgs();
+
+    for (const auto &bb : f) {
+        cur_ = blockMap_[bb.get()];
+        for (const auto &inst : *bb)
+            dispatch(*inst);
+    }
+}
+
+void
+CommonISel::dispatch(const Instruction &inst)
+{
+    switch (inst.opcode()) {
+      case Opcode::Add:
+      case Opcode::Sub:
+      case Opcode::Mul:
+      case Opcode::Div:
+      case Opcode::Rem:
+      case Opcode::And:
+      case Opcode::Or:
+      case Opcode::Xor:
+      case Opcode::Shl:
+      case Opcode::Shr:
+        lowerBinary(static_cast<const BinaryOperator &>(inst));
+        return;
+      case Opcode::SetEQ:
+      case Opcode::SetNE:
+      case Opcode::SetLT:
+      case Opcode::SetGT:
+      case Opcode::SetLE:
+      case Opcode::SetGE:
+        lowerCompare(static_cast<const SetCondInst &>(inst));
+        return;
+      case Opcode::Ret:
+        lowerRet(static_cast<const ReturnInst &>(inst));
+        return;
+      case Opcode::Br:
+        lowerBr(static_cast<const BranchInst &>(inst));
+        return;
+      case Opcode::MBr:
+        lowerMBr(static_cast<const MBrInst &>(inst));
+        return;
+      case Opcode::Invoke:
+        lowerInvoke(static_cast<const InvokeInst &>(inst));
+        return;
+      case Opcode::Unwind:
+        lowerUnwind(static_cast<const UnwindInst &>(inst));
+        return;
+      case Opcode::Load:
+        lowerLoad(static_cast<const LoadInst &>(inst));
+        return;
+      case Opcode::Store:
+        lowerStore(static_cast<const StoreInst &>(inst));
+        return;
+      case Opcode::GetElementPtr:
+        lowerGEP(static_cast<const GetElementPtrInst &>(inst));
+        return;
+      case Opcode::Alloca:
+        lowerAlloca(static_cast<const AllocaInst &>(inst));
+        return;
+      case Opcode::Cast:
+        lowerCast(static_cast<const CastInst &>(inst));
+        return;
+      case Opcode::Call:
+        lowerCall(static_cast<const CallInst &>(inst));
+        return;
+      case Opcode::Phi:
+        lowerPhi(static_cast<const PhiNode &>(inst));
+        return;
+    }
+    panic("unhandled opcode in instruction selection");
+}
+
+unsigned
+CommonISel::vregFor(const Value *v)
+{
+    auto it = vregs_.find(v);
+    if (it != vregs_.end())
+        return it->second;
+    unsigned vreg =
+        mf_->createVReg(classOf(v->type()), isFP32(v->type()));
+    vregs_[v] = vreg;
+    return vreg;
+}
+
+unsigned
+CommonISel::valueReg(const Value *v)
+{
+    if (auto *c = dyn_cast<Constant>(v)) {
+        bool fp = c->type()->isFloatingPoint();
+        unsigned dst = mf_->createVReg(classOf(c->type()),
+                                       isFP32(c->type()));
+        if (auto *ci = dyn_cast<ConstantInt>(c)) {
+            emitMaterialize(dst, MOperand::makeImm(ci->sext()), false,
+                            false);
+        } else if (auto *cf = dyn_cast<ConstantFP>(c)) {
+            emitMaterialize(dst, MOperand::makeFPImm(cf->value()), fp,
+                            isFP32(c->type()));
+        } else if (isa<ConstantNull>(c) || isa<ConstantUndef>(c)) {
+            if (fp)
+                emitMaterialize(dst, MOperand::makeFPImm(0.0), true,
+                                isFP32(c->type()));
+            else
+                emitMaterialize(dst, MOperand::makeImm(0), false,
+                                false);
+        } else if (auto *gv = dyn_cast<GlobalVariable>(c)) {
+            emitMaterialize(dst, MOperand::makeGlobal(gv), false,
+                            false);
+        } else if (auto *fn = dyn_cast<Function>(c)) {
+            emitMaterialize(dst, MOperand::makeFunc(fn), false,
+                            false);
+        } else {
+            panic("cannot materialize constant");
+        }
+        return dst;
+    }
+    return vregFor(v);
+}
+
+MOperand
+CommonISel::phiOperand(const Value *v)
+{
+    if (auto *ci = dyn_cast<ConstantInt>(v))
+        return MOperand::makeImm(ci->sext());
+    if (auto *cf = dyn_cast<ConstantFP>(v))
+        return MOperand::makeFPImm(cf->value());
+    if (isa<ConstantNull>(v))
+        return MOperand::makeImm(0);
+    if (isa<ConstantUndef>(v)) {
+        if (v->type()->isFloatingPoint())
+            return MOperand::makeFPImm(0.0);
+        return MOperand::makeImm(0);
+    }
+    if (auto *gv = dyn_cast<GlobalVariable>(v))
+        return MOperand::makeGlobal(gv);
+    if (auto *fn = dyn_cast<Function>(v))
+        return MOperand::makeFunc(fn);
+    return MOperand::makeReg(vregFor(v));
+}
+
+MachineBasicBlock *
+CommonISel::edgeBlockFor(const BasicBlock *pred, const BasicBlock *succ)
+{
+    auto it = edgeBlock_.find({pred, succ});
+    if (it != edgeBlock_.end())
+        return it->second;
+    return blockMap_.at(pred);
+}
+
+void
+CommonISel::lowerPhi(const PhiNode &phi)
+{
+    std::vector<MOperand> ops;
+    ops.push_back(MOperand::makeReg(vregFor(&phi)));
+    for (unsigned i = 0; i < phi.numIncoming(); ++i) {
+        ops.push_back(phiOperand(phi.incomingValue(i)));
+        ops.push_back(MOperand::makeBlock(edgeBlockFor(
+            phi.incomingBlock(i), phi.parent())));
+    }
+    MachineInstr *mi = emit(kOpPhi, std::move(ops), 1);
+    mi->fp32 = isFP32(phi.type());
+}
+
+void
+CommonISel::lowerGEP(const GetElementPtrInst &gep)
+{
+    unsigned addr = valueReg(gep.pointer());
+    Type *cur = cast<PointerType>(gep.pointer()->type())->pointee();
+    int64_t const_off = 0;
+    unsigned dst = vregFor(&gep);
+    bool addr_is_result = false;
+
+    auto addScaled = [&](const Value *idx, uint64_t scale) {
+        if (auto *ci = dyn_cast<ConstantInt>(idx)) {
+            const_off +=
+                ci->sext() * static_cast<int64_t>(scale);
+            return;
+        }
+        unsigned idx_reg = valueReg(idx);
+        unsigned scaled;
+        if (scale == 1) {
+            scaled = idx_reg;
+        } else {
+            scaled = mf_->createVReg(RegClass::Int);
+            emitMulImm(scaled, idx_reg,
+                       static_cast<int64_t>(scale));
+        }
+        unsigned sum = mf_->createVReg(RegClass::Int);
+        emitAdd(sum, addr, scaled);
+        addr = sum;
+    };
+
+    for (unsigned i = 0; i < gep.numIndices(); ++i) {
+        const Value *idx = gep.index(i);
+        if (i == 0) {
+            addScaled(idx, cur->sizeInBytes(pointerSize_));
+            continue;
+        }
+        if (auto *at = dyn_cast<ArrayType>(cur)) {
+            cur = at->element();
+            addScaled(idx, cur->sizeInBytes(pointerSize_));
+        } else {
+            auto *st = cast<StructType>(cur);
+            auto *ci = cast<ConstantInt>(idx);
+            size_t field = static_cast<size_t>(ci->zext());
+            const_off += static_cast<int64_t>(
+                st->fieldOffset(field, pointerSize_));
+            cur = st->field(field);
+        }
+    }
+
+    if (const_off != 0) {
+        emitAddImm(dst, addr, const_off);
+        addr_is_result = true;
+    }
+    if (!addr_is_result)
+        emitMove(dst, addr, false, false);
+}
+
+void
+CommonISel::lowerAlloca(const AllocaInst &alloca)
+{
+    unsigned dst = vregFor(&alloca);
+    if (alloca.isStatic()) {
+        uint64_t count = 1;
+        if (auto *ci =
+                dyn_cast<ConstantInt>(alloca.arraySize()))
+            count = ci->zext();
+        Type *t = alloca.allocatedType();
+        uint64_t size = t->sizeInBytes(pointerSize_) * count;
+        uint64_t align = t->alignment(pointerSize_);
+        auto it = staticAllocas_.find(&alloca);
+        int slot;
+        if (it != staticAllocas_.end()) {
+            slot = it->second;
+        } else {
+            slot = mf_->createFrameObject(size ? size : 1, align);
+            staticAllocas_[&alloca] = slot;
+        }
+        emit(kOpFrameAddr,
+             {MOperand::makeReg(dst), MOperand::makeFrame(slot)}, 1);
+        return;
+    }
+    // Dynamic alloca: compute the byte size, then ask the target to
+    // produce fresh storage (a runtime-heap call in this
+    // implementation; a hardware stack adjustment in a real one).
+    unsigned count = valueReg(alloca.arraySize());
+    unsigned size = mf_->createVReg(RegClass::Int);
+    emitMulImm(size, count,
+               static_cast<int64_t>(alloca.allocatedType()->sizeInBytes(
+                   pointerSize_)));
+    emitDynAlloca(dst, size);
+}
+
 uint8_t
 CommonISel::widthOf(const Type *t) const
 {

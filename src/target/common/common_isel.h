@@ -1,27 +1,38 @@
 /**
  * @file
  * Shared instruction selection against the common relative opcode
- * layout. CommonISel implements the whole ISelBase contract —
- * argument and return marshalling from the ABI descriptor, binary
- * ops in either two-address (read-modify-write) or three-address
- * form, immediate-pair materialization (sethi+or / lui+ori),
- * branches, memory, conversions, calls and invokes — leaving a
- * backend only small policy hooks: which immediates encode inline,
- * whether calls/returns need delay-slot fillers, and (for
- * flags-based machines) how comparisons are lowered.
+ * layout. CommonISel owns the traversal, the value→vreg mapping, phi
+ * pseudo emission, getelementptr address arithmetic and alloca
+ * lowering, and lowers everything else from the ABI descriptor:
+ * argument and return marshalling, binary ops in either
+ * two-address (read-modify-write) or three-address form,
+ * immediate-pair materialization (sethi+or / lui+ori), branches,
+ * memory, conversions, calls and invokes. A backend supplies only
+ * small policy hooks — which immediates encode inline, whether
+ * calls/returns need delay-slot fillers, and (for flags-based
+ * machines) how comparisons are lowered.
  */
 
 #ifndef LLVA_TARGET_COMMON_COMMON_ISEL_H
 #define LLVA_TARGET_COMMON_COMMON_ISEL_H
 
-#include "codegen/isel.h"
+#include <map>
+
+#include "codegen/machine.h"
+#include "ir/instructions.h"
 #include "target/common/common_target.h"
 
 namespace llva {
 namespace cmn {
 
-class CommonISel : public ISelBase
+class CommonISel
 {
+  public:
+    virtual ~CommonISel() = default;
+
+    /** Translate \p f into \p mf. */
+    void runOn(const Function &f, MachineFunction &mf);
+
   protected:
     /**
      * \p two_address selects read-modify-write binary lowering
@@ -64,6 +75,9 @@ class CommonISel : public ISelBase
     virtual void emitCaseSetEq(unsigned dst, unsigned v,
                                const MOperand &b);
 
+    /** setcc (default: compare-into-register). */
+    virtual void lowerCompare(const SetCondInst &inst);
+
     // --- Shared machinery -------------------------------------------------
 
     uint16_t
@@ -78,10 +92,62 @@ class CommonISel : public ISelBase
         return MOperand::makeReg(reg);
     }
 
+    static RegClass
+    classOf(const Type *t)
+    {
+        return t->isFloatingPoint() ? RegClass::FP : RegClass::Int;
+    }
+
+    static bool
+    isFP32(const Type *t)
+    {
+        return t->kind() == TypeKind::Float;
+    }
+
+    MachineInstr *
+    emit(uint16_t opcode, std::vector<MOperand> ops, unsigned defs = 0)
+    {
+        return cur_->append(opcode, std::move(ops), defs);
+    }
+
+    /** The vreg that holds \p v's value (creating it for defs). */
+    unsigned vregFor(const Value *v);
+
+    /** A vreg holding \p v, materializing constants as needed. */
+    unsigned valueReg(const Value *v);
+
     uint8_t widthOf(const Type *t) const;
 
     /** Inline a ConstantInt passing immFits; else a register. */
     MOperand intOperand(const Value *v);
+
+  private:
+    void dispatch(const Instruction &inst);
+
+    /** Operand for a phi incoming value (constants stay inline). */
+    MOperand phiOperand(const Value *v);
+
+    /** MBB that phi copies for edge (pred -> succ) belong in. */
+    MachineBasicBlock *edgeBlockFor(const BasicBlock *pred,
+                                    const BasicBlock *succ);
+
+    // --- Emit helpers -----------------------------------------------------
+
+    /** dst <- src (register move). */
+    void emitMove(unsigned dst, unsigned src, bool fp, bool fp32);
+    /** dst <- immediate / global address / function address. */
+    void emitMaterialize(unsigned dst, const MOperand &value, bool fp,
+                         bool fp32);
+    /** dst <- a + b (integer registers). */
+    void emitAdd(unsigned dst, unsigned a, unsigned b);
+    /** dst <- a + imm. */
+    void emitAddImm(unsigned dst, unsigned a, int64_t imm);
+    /** dst <- a * imm (pointer scaling). */
+    void emitMulImm(unsigned dst, unsigned a, int64_t imm);
+    /** dst <- fresh storage of sizeReg bytes (dynamic alloca). */
+    void emitDynAlloca(unsigned dst, unsigned size_reg);
+    void emitBinImm(unsigned rel, unsigned dst, unsigned a,
+                    int64_t imm);
 
     /** Binary op in the target's address style; returns the ALU
      *  instruction for flag fixup (width, signExt, traps). */
@@ -93,35 +159,39 @@ class CommonISel : public ISelBase
                                 std::vector<MOperand> blocks);
     void emitResultCopy(const Instruction &inst);
 
-    // --- ISelBase emit-helper vocabulary ---------------------------------
+    // --- Lowerings --------------------------------------------------------
 
-    void emitMove(unsigned dst, unsigned src, bool fp,
-                  bool fp32) override;
-    void emitMaterialize(unsigned dst, const MOperand &value,
-                         bool fp, bool fp32) override;
-    void emitAdd(unsigned dst, unsigned a, unsigned b) override;
-    void emitAddImm(unsigned dst, unsigned a, int64_t imm) override;
-    void emitMulImm(unsigned dst, unsigned a, int64_t imm) override;
-    void emitDynAlloca(unsigned dst, unsigned size_reg) override;
+    /** Copy incoming arguments into their vregs (entry block). */
+    void lowerArgs();
+    void lowerBinary(const BinaryOperator &inst);
+    void lowerRet(const ReturnInst &inst);
+    void lowerBr(const BranchInst &inst);
+    void lowerMBr(const MBrInst &inst);
+    void lowerLoad(const LoadInst &inst);
+    void lowerStore(const StoreInst &inst);
+    void lowerCast(const CastInst &inst);
+    void lowerCall(const CallInst &inst);
+    void lowerInvoke(const InvokeInst &inst);
+    void lowerUnwind(const UnwindInst &inst);
+    void lowerGEP(const GetElementPtrInst &inst);
+    void lowerAlloca(const AllocaInst &inst);
+    void lowerPhi(const PhiNode &inst);
 
-    // --- ISelBase lowerings ----------------------------------------------
+    // --- State ------------------------------------------------------------
 
-    void lowerArgs() override;
-    void lowerBinary(const BinaryOperator &inst) override;
-    void lowerCompare(const SetCondInst &inst) override;
-    void lowerRet(const ReturnInst &inst) override;
-    void lowerBr(const BranchInst &inst) override;
-    void lowerMBr(const MBrInst &inst) override;
-    void lowerLoad(const LoadInst &inst) override;
-    void lowerStore(const StoreInst &inst) override;
-    void lowerCast(const CastInst &inst) override;
-    void lowerCall(const CallInst &inst) override;
-    void lowerInvoke(const InvokeInst &inst) override;
-    void lowerUnwind(const UnwindInst &inst) override;
-
-  private:
-    void emitBinImm(unsigned rel, unsigned dst, unsigned a,
-                    int64_t imm);
+    MachineFunction *mf_ = nullptr;
+    const Function *f_ = nullptr;
+    MachineBasicBlock *cur_ = nullptr;
+    std::map<const Value *, unsigned> vregs_;
+    std::map<const BasicBlock *, MachineBasicBlock *> blockMap_;
+    /** Block that carries phi copies for edges leaving an IR block
+     *  through the given (pred, succ) pair — differs from
+     *  blockMap_[pred] for invoke edges. */
+    std::map<std::pair<const BasicBlock *, const BasicBlock *>,
+             MachineBasicBlock *>
+        edgeBlock_;
+    std::map<const AllocaInst *, int> staticAllocas_;
+    unsigned pointerSize_ = 8;
 
     uint16_t base_;
     AbiDesc abi_;

@@ -108,12 +108,6 @@ CommonTarget::handlerFor(const MachineInstr &mi) const
     return desc(mi.opcode).exec;
 }
 
-void
-CommonTarget::execute(const MachineInstr &mi, SimState &state) const
-{
-    handlerFor(mi)(mi, state);
-}
-
 std::vector<uint8_t>
 CommonTarget::encode(const MachineInstr &mi) const
 {

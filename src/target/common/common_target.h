@@ -70,8 +70,6 @@ class CommonTarget : public Target
 
     std::vector<uint8_t> encode(const MachineInstr &mi)
         const override;
-    void execute(const MachineInstr &mi, SimState &state)
-        const override;
     ExecFn handlerFor(const MachineInstr &mi) const override;
 
     void writeArgs(SimState &state, const FunctionType *ft,

@@ -20,7 +20,6 @@
 
 #include <sstream>
 
-#include "codegen/isel.h"
 #include "ir/function.h"
 #include "target/common/common_exec.h"
 #include "target/common/common_isel.h"

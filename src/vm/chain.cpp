@@ -49,12 +49,7 @@ ChainedFunction::buildBlock(MachineBasicBlock *mbb)
     for (const auto &mi : mbb->instrs()) {
         ChainedInstr &ci = built->code[i++];
         ci.mi = mi.get();
-        ExecFn fn = mi->exec.load(std::memory_order_relaxed);
-        if (!fn) {
-            fn = target_.handlerFor(*mi);
-            mi->exec.store(fn, std::memory_order_relaxed);
-        }
-        ci.fn = fn;
+        ci.fn = cachedHandler(target_, *mi);
     }
     cb = built.get();
     owned_.push_back(std::move(built));

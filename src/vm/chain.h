@@ -42,6 +42,23 @@ namespace llva {
 class ChainedFunction;
 struct ChainedBlock;
 
+/**
+ * The direct-threaded handler of \p mi, resolved through \p target
+ * on first use and cached on the instruction (MachineInstr::exec).
+ * The cache slot is a relaxed atomic: concurrent simulators racing
+ * here store the same deterministic handler.
+ */
+inline ExecFn
+cachedHandler(const Target &target, const MachineInstr &mi)
+{
+    ExecFn fn = mi.exec.load(std::memory_order_relaxed);
+    if (!fn) {
+        fn = target.handlerFor(mi);
+        mi.exec.store(fn, std::memory_order_relaxed);
+    }
+    return fn;
+}
+
 /** One instruction slot of a chained superblock. */
 struct ChainedInstr
 {

@@ -48,76 +48,111 @@ invokeBlockOperand(const MachineInstr &mi, unsigned which)
     panic("invoke site lacks handler blocks");
 }
 
-/** Unpins an activation's reclamation epoch unless the pin was
- *  handed off to a paused activation. */
-struct PinGuard
+/** Stable profile ID of a machine block. Machine block names mirror
+ *  the source blocks' names, so these are the same IDs the trace
+ *  formation resolves on the IR; the hashes are cached at
+ *  translation time. */
+BlockId
+idOf(const MachineFunction *mf, const MachineBasicBlock *bb)
 {
-    CodeManager &cm;
-    uint64_t pin;
-    bool active = true;
+    return BlockId{mf->nameHash(), bb->nameHash()};
+}
 
-    PinGuard(CodeManager &c, uint64_t p) : cm(c), pin(p) {}
-    PinGuard(const PinGuard &) = delete;
-    PinGuard &operator=(const PinGuard &) = delete;
-    void release() { active = false; }
-    ~PinGuard()
-    {
-        if (active)
-            cm.unpinEpoch(pin);
-    }
-};
+/** The slow half of a profile sample, kept out of line so that
+ *  inlining Meter::note() leaves the loops' meter in registers. */
+void
+recordSample(EdgeProfile *profile, BlockId from, BlockId to,
+             uint64_t weight)
+{
+    profile->noteId(from, to, weight);
+    NumProfileSamples += weight;
+}
 
 } // namespace
 
-MachineSimulator::~MachineSimulator()
+// Events are recorded every interval-th occurrence with matching
+// weight, so totals stay in execution units.
+inline void
+MachineSimulator::Meter::note(BlockId from, BlockId to)
 {
-    if (hasPausedPin_)
-        code_.unpinEpoch(pausedPin_);
+    if (!profile || --countdown)
+        return;
+    countdown = interval;
+    recordSample(profile, from, to, interval);
+}
+
+/** The pause predicate, evaluated at every pause point. */
+inline bool
+MachineSimulator::pauseDue(uint64_t executed) const
+{
+    uint64_t at = pauseAt_.load(std::memory_order_relaxed);
+    return (at && executed >= at) ||
+           pauseFlag_.load(std::memory_order_relaxed);
+}
+
+void
+MachineSimulator::budgetExceeded(Meter m)
+{
+    meter_ = m;
+    fatal("simulator instruction limit exceeded");
+}
+
+void
+MachineSimulator::applyInvalidations()
+{
+    for (const Function *inv : ctx_.takeInvalidations())
+        code_.invalidate(inv);
 }
 
 ExecResult
 MachineSimulator::run(const Function *f,
                       const std::vector<RtValue> &args)
 {
-    ExecResult result = runInternal(f, args);
-
-    // Trap-handler dispatch (paper Section 3.5).
-    if (result.trap != TrapKind::None) {
-        unsigned trapno = static_cast<unsigned>(result.trap);
-        uint64_t handler = ctx_.trapHandler(trapno);
-        if (handler) {
-            if (const Function *hf =
-                    ctx_.memory().functionAt(handler)) {
-                std::vector<RtValue> hargs = {
-                    RtValue::ofInt(trapno), RtValue::ofInt(0)};
-                ExecResult hr = runInternal(hf, hargs);
-                result.instructionsExecuted = executed_;
-                // The handler's own outcome must not be swallowed:
-                // a trap raised inside the handler supersedes the
-                // trap it was handling, and an unwind escaping the
-                // handler surfaces as an escaped unwind.
-                if (hr.trap != TrapKind::None)
-                    result.trap = hr.trap;
-                if (hr.unwound)
-                    result.unwound = true;
-            } else {
-                // A registered address that no longer names a
-                // function (SMC moved it, or it was bogus) means
-                // the handler silently never runs — count it.
-                ++NumTrapHandlerMissing;
-            }
-        }
-    }
-    return result;
+    return deliverTrap(start(f, args));
 }
 
 ExecResult
 MachineSimulator::resume()
 {
-    LLVA_ASSERT(suspended_.valid,
-                "resume() without a paused activation");
-    resuming_ = true;
-    return run(suspended_.f, {});
+    LLVA_ASSERT(parked_, "resume() without a paused activation");
+    Activation a = std::move(*parked_);
+    parked_.reset();
+    // The context may be a different process than the one that
+    // checkpointed: re-wire the transient pointers.
+    a.state.mem = &ctx_.memory();
+    a.state.globalAddrs = &ctx_.globalAddrs();
+    return deliverTrap(drive(a));
+}
+
+/** Trap-handler dispatch (paper Section 3.5). */
+ExecResult
+MachineSimulator::deliverTrap(ExecResult result)
+{
+    if (result.trap == TrapKind::None)
+        return result;
+    unsigned trapno = static_cast<unsigned>(result.trap);
+    uint64_t handler = ctx_.trapHandler(trapno);
+    if (!handler)
+        return result;
+    const Function *hf = ctx_.memory().functionAt(handler);
+    if (!hf) {
+        // A registered address that no longer names a function (SMC
+        // moved it, or it was bogus) means the handler silently
+        // never runs — count it.
+        ++NumTrapHandlerMissing;
+        return result;
+    }
+    ExecResult hr =
+        start(hf, {RtValue::ofInt(trapno), RtValue::ofInt(0)});
+    result.instructionsExecuted = meter_.executed;
+    // The handler's own outcome must not be swallowed: a trap raised
+    // inside the handler supersedes the trap it was handling, and an
+    // unwind escaping the handler surfaces as an escaped unwind.
+    if (hr.trap != TrapKind::None)
+        result.trap = hr.trap;
+    if (hr.unwound)
+        result.unwound = true;
+    return result;
 }
 
 ExecResult
@@ -125,16 +160,14 @@ MachineSimulator::interpretFallback(const Function *f,
                                     const std::vector<RtValue> &args,
                                     uint64_t stackBase)
 {
+    // Hand the interpreter exactly the remaining budget. A drained
+    // budget must not buy a free instruction: any defined function
+    // executes at least one, so the handoff is charged like one.
+    Meter handoff = meter_;
+    if (!handoff.tick())
+        budgetExceeded(handoff);
     Interpreter interp(ctx_);
-    if (limit_) {
-        // Hand the interpreter exactly the remaining budget. A
-        // drained budget (executed_ >= limit_) must not buy a free
-        // instruction: any defined function executes at least one,
-        // so the handoff itself exceeds the limit.
-        if (executed_ >= limit_)
-            fatal("simulator instruction limit exceeded");
-        interp.setInstructionLimit(limit_ - executed_);
-    }
+    interp.setInstructionLimit(meter_.limit - meter_.executed);
     ExecResult r;
     {
         // The interpreter walks the function's IR, and tiered
@@ -145,545 +178,362 @@ MachineSimulator::interpretFallback(const Function *f,
         auto lock = code_.readLock();
         r = interp.invoke(f, args, stackBase);
     }
-    executed_ += r.instructionsExecuted;
+    meter_.executed += r.instructionsExecuted;
     interpreted_ += r.instructionsExecuted;
     // The interpreted code may have requested SMC invalidations;
     // apply them before native dispatch resumes.
-    for (const Function *inv : ctx_.takeInvalidations())
-        code_.invalidate(inv);
+    applyInvalidations();
     return r;
 }
 
 ExecResult
-MachineSimulator::runInternal(const Function *f,
-                              const std::vector<RtValue> &args)
+MachineSimulator::start(const Function *f,
+                        const std::vector<RtValue> &args)
 {
-    Target &target = code_.target();
-    ExecResult result;
+    Activation a(code_);
+    // Apply pending SMC invalidations before dispatch.
+    applyInvalidations();
+    if (const Function *repl = ctx_.redirectFor(f))
+        f = repl;
+    a.entry = f;
+    a.state.mem = &ctx_.memory();
+    a.state.globalAddrs = &ctx_.globalAddrs();
+    a.state.sp = ctx_.memory().stackTop() - 4096; // synthetic caller
+    code_.target().writeArgs(a.state, f->functionType(), args);
 
-    const bool resuming = resuming_;
-    resuming_ = false;
-
-    // Pin the reclamation epoch for this whole activation: the call
-    // frames below hold raw MachineFunction pointers that a
-    // concurrent replaceFunctionLive()/promotion may retire. A
-    // resumed activation adopts the pin its pause kept alive.
-    uint64_t pin;
-    if (resuming && hasPausedPin_) {
-        pin = pausedPin_;
-        hasPausedPin_ = false;
-    } else {
-        pin = code_.pinEpoch();
+    a.mf = code_.get(f);
+    if (!a.mf) {
+        // The entry function itself is pinned to the interpreter
+        // tier; run it there with the default stack base.
+        ExecResult r = interpretFallback(f, args, 0);
+        r.instructionsExecuted = meter_.executed;
+        return r;
     }
-    PinGuard pinGuard(code_, pin);
+    a.block = a.mf->blocks().front().get();
+    noteEntry(a);
+    return drive(a);
+}
 
-    SimState state;
-    const MachineFunction *mf = nullptr;
-    MachineBasicBlock *block = nullptr;
-    size_t index = 0;
-    std::vector<Frame> frames;
-
-    if (resuming) {
-        Suspended s = std::move(suspended_);
-        suspended_ = Suspended{};
-        f = s.f;
-        state = s.state;
-        frames = std::move(s.frames);
-        mf = s.mf;
-        block = s.block;
-        index = s.index;
-        // The context may be a different process than the one that
-        // checkpointed: re-wire the transient pointers.
-        state.mem = &ctx_.memory();
-        state.globalAddrs = &ctx_.globalAddrs();
-    } else {
-        // Apply pending SMC invalidations before dispatch.
-        for (const Function *inv : ctx_.takeInvalidations())
-            code_.invalidate(inv);
-        if (const Function *repl = ctx_.redirectFor(f))
-            f = repl;
-
-        state.mem = &ctx_.memory();
-        state.globalAddrs = &ctx_.globalAddrs();
-        state.sp = ctx_.memory().stackTop() - 4096; // synthetic caller
-
-        target.writeArgs(state, f->functionType(), args);
-
-        mf = code_.get(f);
-        if (!mf) {
-            // The entry function itself is pinned to the interpreter
-            // tier; run it there with the default stack base.
-            ExecResult r = interpretFallback(f, args, 0);
-            r.instructionsExecuted = executed_;
-            return r;
+/**
+ * The activation loop: run the current body — chained while it is
+ * the live trace-tier translation, stepped otherwise — up to its
+ * next call, return, unwind or trap, and let the frame core act on
+ * that; or park the activation when a pause lands.
+ */
+ExecResult
+MachineSimulator::drive(Activation &a)
+{
+    ExecResult r;
+    for (bool running = true; running;) {
+        ChainedFunction *chain = liveChain(a.mf);
+        if (!(chain ? runChained(a, *chain) : step(a))) {
+            // Park at the saved position; the epoch pin goes along.
+            pauseFlag_.store(false, std::memory_order_relaxed);
+            pauseAt_.store(0, std::memory_order_relaxed);
+            ++NumPauses;
+            parked_.emplace(std::move(a));
+            r.paused = true;
+            break;
         }
-        block = mf->blocks().front().get();
+        switch (a.state.next) {
+          case SimState::Next::Call:
+            running = call(a, r);
+            break;
+          case SimState::Next::Return:
+            running = ret(a, r);
+            break;
+          case SimState::Next::Unwind:
+            running = unwind(a, r);
+            break;
+          default: // Trap: the loops consume Fall and Branch
+            r.trap = a.state.trapKind;
+            running = false;
+        }
     }
+    r.instructionsExecuted = meter_.executed;
+    return r;
+}
 
-    const bool threaded = dispatch_ == Dispatch::Threaded;
+/**
+ * The live chain of \p mf, or nullptr to step it unchained. drive()
+ * re-derives it after every control transfer, since each may
+ * have changed the current function (call, return, unwind) or
+ * retired its body (SMC invalidation, promotion). Only the *live*
+ * body of a trace-tier function chains: a retired body keeps
+ * executing, unchained, until its activation ends.
+ */
+ChainedFunction *
+MachineSimulator::liveChain(const MachineFunction *mf)
+{
+    // Fast path for the steady state: one lookup resolves an
+    // already-built live chain. The tier + installed-body checks
+    // only run when that misses, to decide first-time chain
+    // creation.
+    if (ChainedFunction *chain = code_.findChain(mf))
+        return chain;
+    if (code_.tierOf(mf->source()) != kTierTrace ||
+        code_.cached(mf->source()) != mf)
+        return nullptr;
+    // chainFor() re-validates liveness under the exclusive lock and
+    // refuses to chain a body retired since the checks above (lost
+    // race with a concurrent replacement): keep executing it
+    // unchained.
+    return code_.chainFor(mf);
+}
 
-    // Superblock chaining state: non-null while the current frame
-    // runs the live trace-tier body of its function under threaded
-    // dispatch.
-    ChainedFunction *chain = nullptr;
-    ChainedBlock *cb = nullptr;
-
-    // Profile hook: record a block entry (and, within one function,
-    // the edge taken into it). Machine block names mirror the source
-    // blocks' names, so these are the same stable IDs the trace
-    // formation resolves on the IR. `from == nullptr` marks entries
-    // with no intra-function predecessor (call dispatch, invoke
-    // resumption). Threaded dispatch uses the hashes cached at
-    // translation time; the legacy engine keeps its original
-    // rehash-per-event cost as the measurable baseline. Events are
-    // recorded every sampleInterval_-th occurrence with matching
-    // weight, so totals stay in execution units.
-    auto noteBlock = [&](const MachineFunction *in,
-                         const MachineBasicBlock *from,
-                         const MachineBasicBlock *to) {
-        if (!profile_)
-            return;
-        if (--sampleCountdown_)
-            return;
-        sampleCountdown_ = sampleInterval_;
-        if (threaded) {
-            profile_->noteId(
-                from ? BlockId{in->nameHash(), from->nameHash()}
-                     : BlockId{},
-                BlockId{in->nameHash(), to->nameHash()},
-                sampleInterval_);
-        } else {
-            uint64_t fnHash = functionId(in->name());
-            profile_->noteId(
-                from ? BlockId{fnHash, fnv1a(from->name())}
-                     : BlockId{},
-                BlockId{fnHash, fnv1a(to->name())}, sampleInterval_);
+/**
+ * The unchained block stepper: execute the current body one
+ * instruction at a time, following fallthroughs and branches (which
+ * stay inside the function), until a call, return, unwind or trap
+ * (true) or a pause (false). Every instruction is a pause point.
+ */
+bool
+MachineSimulator::step(Activation &a)
+{
+    const Target &target = code_.target();
+    const MachineFunction *mf = a.mf;
+    MachineBasicBlock *block = a.block;
+    size_t index = a.index;
+    Meter m = meter_;
+    bool event = false;
+    while (!pauseDue(m.executed)) {
+        if (index >= block->instrs().size()) {
+            // Elided fallthrough jump: continue with the next block
+            // in layout order.
+            size_t next = block->index() + 1;
+            LLVA_ASSERT(next < mf->blocks().size(),
+                        "machine function fell off the end (%s)",
+                        mf->name().c_str());
+            MachineBasicBlock *to = mf->blocks()[next].get();
+            m.note(idOf(mf, block), idOf(mf, to));
+            block = to;
+            index = 0;
+            continue;
         }
-        NumProfileSamples += sampleInterval_;
-    };
-
-
-    // Re-derive the chaining state after any control transfer that
-    // may have changed the current function (call, return, unwind)
-    // or retired its body (SMC invalidation, promotion). Only the
-    // *live* body of a trace-tier function chains: a retired body
-    // keeps executing, unchained, until its activation ends.
-    auto syncChain = [&]() {
-        chain = nullptr;
-        cb = nullptr;
-        if (!threaded)
-            return;
-        // Fast path for the steady state (every call/return runs
-        // through here): one lookup resolves an already-built live
-        // chain. The tier + installed-body checks only run when
-        // that misses, to decide first-time chain creation.
-        chain = code_.findChain(mf);
-        if (!chain) {
-            if (code_.tierOf(mf->source()) != kTierTrace)
-                return;
-            if (code_.cached(mf->source()) != mf)
-                return;
-            // chainFor() re-validates liveness under the exclusive
-            // lock and refuses to chain a body retired since the
-            // checks above (lost race with a concurrent
-            // replacement): keep executing it unchained.
-            chain = code_.chainFor(mf);
-            if (!chain)
-                return;
-        }
-        cb = chain->blockFor(block);
-    };
-
-    // Park the activation: save the resume position (about to
-    // execute block->instrs()[index]), hand the epoch pin to the
-    // suspended state, and surface a paused result.
-    auto suspendHere = [&]() -> ExecResult {
-        suspended_.valid = true;
-        suspended_.f = f;
-        suspended_.state = state;
-        suspended_.frames = frames;
-        suspended_.mf = mf;
-        suspended_.block = block;
-        suspended_.index = index;
-        pauseFlag_.store(false, std::memory_order_relaxed);
-        pauseAt_.store(0, std::memory_order_relaxed);
-        pausedPin_ = pin;
-        hasPausedPin_ = true;
-        pinGuard.release();
-        ++NumPauses;
-        result.paused = true;
-        result.instructionsExecuted = executed_;
-        return result;
-    };
-
-    if (!resuming)
-        noteBlock(mf, nullptr, block);
-    syncChain();
-
-    // Pop machine frames to the nearest invoke-style call site and
-    // resume at its handler block; false if the unwind escapes.
-    auto unwindFrames = [&]() -> bool {
-        while (!frames.empty()) {
-            Frame fr = frames.back();
-            frames.pop_back();
-            const MachineInstr &site = *fr.block->instrs()[fr.index];
-            if (isInvokeSite(site)) {
-                mf = fr.mf;
-                state.sp = fr.spAtCall;
-                block = invokeBlockOperand(site, 1);
-                index = 0;
-                noteBlock(mf, nullptr, block);
-                syncChain();
-                return true;
-            }
-        }
-        return false;
-    };
-
-    uint64_t start_count = executed_;
-    (void)start_count;
-
-    while (true) {
-        // Cooperative pause point: every dispatch boundary of the
-        // unchained engines, plus every block transition of the
-        // chained fast path below.
-        {
-            uint64_t pauseAt =
-                pauseAt_.load(std::memory_order_relaxed);
-            if ((pauseAt && executed_ >= pauseAt) ||
-                pauseFlag_.load(std::memory_order_relaxed))
-                return suspendHere();
-        }
-
-        const MachineInstr *mip = nullptr;
-
-        if (cb) {
-            // Superblock fast path: cached handlers over flattened
-            // blocks, transitions through patched links — no map
-            // lookups, no hashing, no dispatch switch. Falls out
-            // only on a call/return/trap/unwind side exit. Chained
-            // blocks are pointer-stable and their code arrays never
-            // resize after build, so the walk stays in registers;
-            // `index` is synced back on every exit.
-            ChainedInstr *ip = cb->code.data() + index;
-            const ChainedInstr *end =
-                cb->code.data() + cb->code.size();
-            // The instruction counter and the profile-sampling
-            // countdown live in locals for the duration of the
-            // inner loop: the indirect handler call clobbers
-            // memory, so member fields would be reloaded and
-            // stored on every instruction, while loop-local state
-            // survives in callee-saved registers. Both are synced
-            // back on every exit from the loop. With no limit set
-            // the sentinel makes the budget check a single
-            // never-taken compare.
-            uint64_t executed = executed_;
-            const uint64_t limit = limit_ ? limit_ : ~uint64_t(0);
-            uint64_t countdown = sampleCountdown_;
-            EdgeProfile *profile = profile_;
-            // Block-entry profile event over the cached IDs; the
-            // same sampling discipline as noteBlock, against the
-            // loop-local countdown.
-            auto noteChained = [&](const ChainedBlock *from,
-                                   const ChainedBlock *to) {
-                if (!profile)
-                    return;
-                if (--countdown)
-                    return;
-                countdown = sampleInterval_;
-                profile_->noteId(from->id, to->id, sampleInterval_);
-                NumProfileSamples += sampleInterval_;
-            };
-            // Pause check at a chained block transition, where the
-            // resume position is exactly (new block, index 0).
-            auto pauseHere = [&]() {
-                uint64_t pauseAt =
-                    pauseAt_.load(std::memory_order_relaxed);
-                if (!(pauseAt && executed >= pauseAt) &&
-                    !pauseFlag_.load(std::memory_order_relaxed))
-                    return false;
-                index = 0;
-                executed_ = executed;
-                sampleCountdown_ = countdown;
-                return true;
-            };
-            bool pauseNow = false;
-            for (;;) {
-                if (ip == end) {
-                    // Links are release-published; a null read just
-                    // takes the slow (patching) path.
-                    ChainedBlock *next =
-                        cb->fall.load(std::memory_order_acquire);
-                    if (!next)
-                        next = chain->linkFallthrough(cb);
-                    noteChained(cb, next);
-                    cb = next;
-                    block = cb->mbb;
-                    ip = cb->code.data();
-                    end = ip + cb->code.size();
-                    if (pauseHere()) {
-                        pauseNow = true;
-                        break;
-                    }
-                    continue;
-                }
-                if (++executed > limit) {
-                    index = size_t(ip - cb->code.data());
-                    executed_ = executed;
-                    sampleCountdown_ = countdown;
-                    fatal("simulator instruction limit exceeded");
-                }
-                state.next = SimState::Next::Fall;
-                ip->fn(*ip->mi, state);
-                if (state.next == SimState::Next::Fall) {
-                    ++ip;
-                    continue;
-                }
-                if (state.next == SimState::Next::Branch) {
-                    ChainedInstr &ci = *ip;
-                    ChainedBlock *link =
-                        ci.link.load(std::memory_order_acquire);
-                    ChainedBlock *next =
-                        link && link->mbb == state.branchTarget
-                            ? link
-                            : chain->linkBranch(ci,
-                                                state.branchTarget);
-                    noteChained(cb, next);
-                    cb = next;
-                    block = cb->mbb;
-                    ip = cb->code.data();
-                    end = ip + cb->code.size();
-                    if (pauseHere()) {
-                        pauseNow = true;
-                        break;
-                    }
-                    continue;
-                }
-                mip = ip->mi;
-                index = size_t(ip - cb->code.data());
-                executed_ = executed;
-                sampleCountdown_ = countdown;
-                break;
-            }
-            if (pauseNow)
-                return suspendHere();
-        } else {
-            if (index >= block->instrs().size()) {
-                // Elided fallthrough jump: continue with the next
-                // block in layout order.
-                size_t next = block->index() + 1;
-                LLVA_ASSERT(next < mf->blocks().size(),
-                            "machine function fell off the end (%s)",
-                            mf->name().c_str());
-                MachineBasicBlock *prev = block;
-                block = mf->blocks()[next].get();
-                index = 0;
-                noteBlock(mf, prev, block);
-                continue;
-            }
-            const MachineInstr &mi = *block->instrs()[index];
-            ++executed_;
-            if (limit_ && executed_ > limit_)
-                fatal("simulator instruction limit exceeded");
-            if (threaded) {
-                // Direct-threaded dispatch: resolve the handler
-                // once, then one indirect call per execution. Only
-                // next is re-armed — handlers write every consumer
-                // field of the Next value they request. The cache
-                // slot is a relaxed atomic: concurrent simulators
-                // racing here store the same deterministic handler.
-                ExecFn fn = mi.exec.load(std::memory_order_relaxed);
-                if (!fn) {
-                    fn = target.handlerFor(mi);
-                    mi.exec.store(fn, std::memory_order_relaxed);
-                }
-                state.next = SimState::Next::Fall;
-                fn(mi, state);
-            } else {
-                state.reset();
-                target.execute(mi, state);
-            }
-            mip = &mi;
-        }
-
-        const MachineInstr &mi = *mip;
-        switch (state.next) {
-          case SimState::Next::Fall:
+        const MachineInstr &mi = *block->instrs()[index];
+        if (!m.tick())
+            budgetExceeded(m);
+        // Only next is re-armed: handlers write every consumer field
+        // of the Next value they request.
+        a.state.next = SimState::Next::Fall;
+        cachedHandler(target, mi)(mi, a.state);
+        if (a.state.next == SimState::Next::Fall) {
             ++index;
+            continue;
+        }
+        if (a.state.next != SimState::Next::Branch) {
+            event = true;
             break;
+        }
+        m.note(idOf(mf, block), idOf(mf, a.state.branchTarget));
+        block = a.state.branchTarget;
+        index = 0;
+        // Branches carry the loop back-edges, so this is where a
+        // function's sample count can cross the watermark; the
+        // running activation keeps its body (the replaced
+        // translation is retired, not destroyed).
+        if (m.profile)
+            code_.maybePromote(mf->source());
+    }
+    a.block = block;
+    a.index = index;
+    meter_ = m;
+    return event;
+}
 
-          case SimState::Next::Branch:
-            noteBlock(mf, block, state.branchTarget);
-            block = state.branchTarget;
-            index = 0;
-            // Branches carry the loop back-edges, so this is where a
-            // function's sample count can cross the watermark; the
-            // running activation keeps its body (the replaced
-            // translation is retired, not destroyed).
-            if (profile_)
-                code_.maybePromote(mf->source());
-            break;
-
-          case SimState::Next::Trap:
-            result.trap = state.trapKind;
-            result.instructionsExecuted = executed_;
-            return result;
-
-          case SimState::Next::Return: {
-            if (frames.empty()) {
-                result.value = target.readReturn(
-                    state, f->functionType()->returnType());
-                result.instructionsExecuted = executed_;
-                return result;
-            }
-            Frame fr = frames.back();
-            frames.pop_back();
-            mf = fr.mf;
-            const MachineInstr &site =
-                *fr.block->instrs()[fr.index];
-            if (isInvokeSite(site)) {
-                block = invokeBlockOperand(site, 0);
-                index = 0;
-                noteBlock(mf, nullptr, block);
-            } else {
-                block = fr.block;
-                index = fr.index + 1;
-            }
-            syncChain();
-            break;
-          }
-
-          case SimState::Next::Call: {
-            const Function *callee = state.callTarget;
-            if (!callee) {
-                callee = ctx_.memory().functionAt(state.callAddr);
-                if (!callee) {
-                    result.trap = TrapKind::BadIndirectCall;
-                    result.instructionsExecuted = executed_;
-                    return result;
-                }
-            }
-            if (const Function *repl = ctx_.redirectFor(callee))
-                callee = repl;
-
-            if (callee->isDeclaration()) {
-                const RuntimeHandler *h =
-                    ctx_.handlerFor(callee->name());
-                if (!h)
-                    fatal("call to unresolved external %%%s",
-                          callee->name().c_str());
-                std::vector<RtValue> hargs =
-                    target.readArgs(state, callee->functionType());
-                RtValue rv = (*h)(ctx_, hargs);
-                // Consume any pending SMC invalidations the handler
-                // produced before the next dispatch.
-                for (const Function *inv :
-                     ctx_.takeInvalidations())
-                    code_.invalidate(inv);
-                // A handler that rejected its arguments raises a
-                // recoverable trap instead of aborting: surface it
-                // through the same trap-dispatch path hardware
-                // traps take (paper Section 3.5).
-                TrapKind pending = ctx_.takePendingTrap();
-                if (pending != TrapKind::None) {
-                    result.trap = pending;
-                    result.instructionsExecuted = executed_;
-                    return result;
-                }
-                target.writeReturn(
-                    state, callee->functionType()->returnType(),
-                    rv);
-                if (isInvokeSite(mi)) {
-                    block = invokeBlockOperand(mi, 0);
-                    index = 0;
-                    noteBlock(mf, nullptr, block);
-                } else {
-                    ++index;
-                }
-                // The handler may have invalidated this very
-                // function: its chain is now severed and must not
-                // be re-entered.
-                syncChain();
+/**
+ * The chained superblock loop: walk the live trace-tier body over
+ * its flattened blocks — cached handlers, transitions through
+ * patched links, no map lookups, no hashing — until a call, return,
+ * unwind or trap side exit (true) or a pause (false). Entry and
+ * every block transition are the pause points, where the resume
+ * position is exactly (block, index). Chained blocks are
+ * pointer-stable and their code arrays never resize after build, so
+ * the walk stays in registers; the position is synced back on exit.
+ */
+bool
+MachineSimulator::runChained(Activation &a, ChainedFunction &chain)
+{
+    Meter m = meter_;
+    ChainedBlock *cb = chain.blockFor(a.block);
+    ChainedInstr *ip = cb->code.data() + a.index;
+    bool event = false;
+    while (!pauseDue(m.executed)) {
+        const ChainedInstr *end = cb->code.data() + cb->code.size();
+        while (ip != end) {
+            if (!m.tick())
+                budgetExceeded(m);
+            a.state.next = SimState::Next::Fall;
+            ip->fn(*ip->mi, a.state);
+            if (a.state.next != SimState::Next::Fall)
                 break;
-            }
-
-            if (frames.size() >= kMaxCallDepth ||
-                state.sp < ctx_.memory().stackLimit() + 4096) {
-                result.trap = TrapKind::StackOverflow;
-                result.instructionsExecuted = executed_;
-                return result;
-            }
-
-            const MachineFunction *cmf = code_.get(callee);
-            if (!cmf) {
-                // Callee is pinned to the interpreter tier: bridge
-                // the call — read the arguments the native caller
-                // set up, interpret with allocas below the caller's
-                // stack pointer, and write the return back into the
-                // native calling convention.
-                std::vector<RtValue> cargs =
-                    target.readArgs(state, callee->functionType());
-                ExecResult r =
-                    interpretFallback(callee, cargs, state.sp);
-                if (r.trap != TrapKind::None) {
-                    result.trap = r.trap;
-                    result.instructionsExecuted = executed_;
-                    return result;
-                }
-                if (r.unwound) {
-                    if (!unwindFrames()) {
-                        result.unwound = true;
-                        result.instructionsExecuted = executed_;
-                        return result;
-                    }
-                    break;
-                }
-                target.writeReturn(
-                    state, callee->functionType()->returnType(),
-                    r.value);
-                if (isInvokeSite(mi)) {
-                    block = invokeBlockOperand(mi, 0);
-                    index = 0;
-                    noteBlock(mf, nullptr, block);
-                } else {
-                    ++index;
-                }
-                // interpretFallback applied any invalidations the
-                // interpreted code requested.
-                syncChain();
-                break;
-            }
-
-            frames.push_back({mf, block, index, state.sp});
-            mf = cmf;
-            block = mf->blocks().front().get();
-            index = 0;
-            noteBlock(mf, nullptr, block);
-            syncChain();
+            ++ip;
+        }
+        ChainedBlock *next;
+        if (ip == end) {
+            // Links are release-published; a null read just takes
+            // the slow (patching) path.
+            next = cb->fall.load(std::memory_order_acquire);
+            if (!next)
+                next = chain.linkFallthrough(cb);
+        } else if (a.state.next == SimState::Next::Branch) {
+            MachineBasicBlock *target = a.state.branchTarget;
+            next = ip->link.load(std::memory_order_acquire);
+            if (!next || next->mbb != target)
+                next = chain.linkBranch(*ip, target);
+        } else {
+            event = true;
             break;
-          }
+        }
+        m.note(cb->id, next->id);
+        cb = next;
+        ip = cb->code.data();
+    }
+    a.block = cb->mbb;
+    a.index = size_t(ip - cb->code.data());
+    meter_ = m;
+    return event;
+}
 
-          case SimState::Next::Unwind: {
-            // Pop frames to the nearest invoke-style call site.
-            if (!unwindFrames()) {
-                result.unwound = true;
-                result.instructionsExecuted = executed_;
-                return result;
-            }
-            break;
-          }
+// --- The frame core: calls, returns and unwinds ---------------------------
+
+/** Profile a block entry with no intra-function predecessor (call
+ *  dispatch, invoke resumption, unwind landing). */
+void
+MachineSimulator::noteEntry(const Activation &a)
+{
+    meter_.note(BlockId{}, idOf(a.mf, a.block));
+}
+
+/** Continue after the call at (\p block, \p index) returned: at an
+ *  invoke site's normal destination, else at the next instruction. */
+void
+MachineSimulator::returnTo(Activation &a, MachineBasicBlock *block,
+                           size_t index)
+{
+    const MachineInstr &site = *block->instrs()[index];
+    if (isInvokeSite(site)) {
+        a.block = invokeBlockOperand(site, 0);
+        a.index = 0;
+        noteEntry(a);
+    } else {
+        a.block = block;
+        a.index = index + 1;
+    }
+}
+
+/**
+ * The call at the current position. A translated callee gets a new
+ * frame; a runtime handler or an interpreter-tier callee runs to
+ * completion outside native dispatch and answers through the native
+ * calling convention. False when the call ends the activation.
+ */
+bool
+MachineSimulator::call(Activation &a, ExecResult &r)
+{
+    const Target &target = code_.target();
+    SimState &st = a.state;
+    const Function *callee =
+        st.callTarget ? st.callTarget
+                      : ctx_.memory().functionAt(st.callAddr);
+    if (!callee) {
+        r.trap = TrapKind::BadIndirectCall;
+        return false;
+    }
+    if (const Function *repl = ctx_.redirectFor(callee))
+        callee = repl;
+    const FunctionType *ft = callee->functionType();
+
+    ExecResult out;
+    if (callee->isDeclaration()) {
+        const RuntimeHandler *h = ctx_.handlerFor(callee->name());
+        if (!h)
+            fatal("call to unresolved external %%%s",
+                  callee->name().c_str());
+        out.value = (*h)(ctx_, target.readArgs(st, ft));
+        // Consume any pending SMC invalidations the handler produced
+        // before the next dispatch.
+        applyInvalidations();
+        // A handler that rejected its arguments raises a recoverable
+        // trap instead of aborting: surface it through the same
+        // trap-dispatch path hardware traps take (paper Section 3.5).
+        out.trap = ctx_.takePendingTrap();
+    } else {
+        if (a.frames.size() >= kMaxCallDepth ||
+            st.sp < ctx_.memory().stackLimit() + 4096) {
+            r.trap = TrapKind::StackOverflow;
+            return false;
+        }
+        if (const MachineFunction *cmf = code_.get(callee)) {
+            a.frames.push_back({a.mf, a.block, a.index, st.sp});
+            a.mf = cmf;
+            a.block = cmf->blocks().front().get();
+            a.index = 0;
+            noteEntry(a);
+            return true;
+        }
+        // Callee is pinned to the interpreter tier: interpret it
+        // with allocas below the caller's stack pointer.
+        out = interpretFallback(callee, target.readArgs(st, ft),
+                                st.sp);
+    }
+    if (out.trap != TrapKind::None) {
+        r.trap = out.trap;
+        return false;
+    }
+    if (out.unwound)
+        return unwind(a, r);
+    target.writeReturn(st, ft->returnType(), out.value);
+    returnTo(a, a.block, a.index);
+    return true;
+}
+
+/** Return to the caller's frame; false when the entry function
+ *  returns, with its value in \p r. */
+bool
+MachineSimulator::ret(Activation &a, ExecResult &r)
+{
+    if (a.frames.empty()) {
+        r.value = code_.target().readReturn(
+            a.state, a.entry->functionType()->returnType());
+        return false;
+    }
+    Frame fr = a.frames.back();
+    a.frames.pop_back();
+    a.mf = fr.mf;
+    returnTo(a, fr.block, fr.index);
+    return true;
+}
+
+/** Pop frames to the nearest invoke-style call site and resume at
+ *  its handler block; false if the unwind escapes the entry. */
+bool
+MachineSimulator::unwind(Activation &a, ExecResult &r)
+{
+    while (!a.frames.empty()) {
+        Frame fr = a.frames.back();
+        a.frames.pop_back();
+        const MachineInstr &site = *fr.block->instrs()[fr.index];
+        if (isInvokeSite(site)) {
+            a.mf = fr.mf;
+            a.state.sp = fr.spAtCall;
+            a.block = invokeBlockOperand(site, 1);
+            a.index = 0;
+            noteEntry(a);
+            return true;
         }
     }
+    r.unwound = true;
+    return false;
 }
 
 void
 MachineSimulator::serializeSuspended(ByteWriter &w) const
 {
-    LLVA_ASSERT(suspended_.valid,
-                "no suspended activation to serialize");
-    const Suspended &s = suspended_;
-    w.writeString(s.f->name());
-    w.writeU64(executed_);
+    LLVA_ASSERT(parked_, "no suspended activation to serialize");
+    const Activation &s = *parked_;
+    w.writeString(s.entry->name());
+    w.writeU64(meter_.executed);
     w.writeU64(interpreted_);
 
     const SimState &st = s.state;
@@ -723,9 +573,11 @@ MachineSimulator::serializeSuspended(ByteWriter &w) const
 bool
 MachineSimulator::restoreSuspended(ByteReader &r)
 {
-    Suspended s;
+    // A suspended activation's frames point into live bodies: its
+    // epoch pin keeps them alive until resume().
+    Activation s(code_);
     std::string entryName = r.readString();
-    s.f = ctx_.module().getFunction(entryName);
+    s.entry = ctx_.module().getFunction(entryName);
     uint64_t executed = r.readU64();
     uint64_t interpreted = r.readU64();
 
@@ -775,7 +627,7 @@ MachineSimulator::restoreSuspended(ByteReader &r)
         return true;
     };
 
-    bool ok = s.f != nullptr && !s.f->isDeclaration();
+    bool ok = s.entry != nullptr && !s.entry->isDeclaration();
     ok = readPos(s.mf, s.block, s.index, false) && ok;
     uint64_t nframes = r.readVaruint();
     if (nframes > kMaxCallDepth)
@@ -788,18 +640,9 @@ MachineSimulator::restoreSuspended(ByteReader &r)
     if (!ok)
         return false;
 
-    if (hasPausedPin_) {
-        code_.unpinEpoch(pausedPin_);
-        hasPausedPin_ = false;
-    }
-    s.valid = true;
-    suspended_ = std::move(s);
-    executed_ = executed;
+    parked_ = std::move(s); // releases the pin of one it replaces
+    meter_.executed = executed;
     interpreted_ = interpreted;
-    // A suspended activation's frames point into live bodies: pin
-    // the epoch now so they survive until resume().
-    pausedPin_ = code_.pinEpoch();
-    hasPausedPin_ = true;
     return true;
 }
 

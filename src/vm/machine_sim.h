@@ -22,6 +22,8 @@
 #define LLVA_VM_MACHINE_SIM_H
 
 #include <atomic>
+#include <memory>
+#include <optional>
 
 #include "support/byte_io.h"
 #include "vm/code_manager.h"
@@ -33,31 +35,13 @@ namespace llva {
 class MachineSimulator
 {
   public:
-    /** How the inner loop dispatches instructions. */
-    enum class Dispatch : uint8_t
-    {
-        /** The legacy engine: state.reset() + virtual execute()
-         *  opcode switch per instruction, names rehashed on every
-         *  profile event. Kept as the measurable baseline. */
-        Switch,
-        /** Direct-threaded handlers cached per instruction, plus
-         *  chained superblocks for trace-tier functions. */
-        Threaded,
-    };
-
     MachineSimulator(ExecutionContext &ctx, CodeManager &code)
         : ctx_(ctx), code_(code)
     {}
 
-    /** Releases the epoch pin of a still-suspended activation. */
-    ~MachineSimulator();
-
     /** Run \p f to completion (JIT-translating on demand). */
     ExecResult run(const Function *f,
                    const std::vector<RtValue> &args = {});
-
-    void setDispatch(Dispatch d) { dispatch_ = d; }
-    Dispatch dispatch() const { return dispatch_; }
 
     /**
      * Sampled profiling: record every Nth block-entry event with
@@ -68,8 +52,8 @@ class MachineSimulator
     void
     setProfileSampleInterval(uint64_t n)
     {
-        sampleInterval_ = n ? n : 1;
-        sampleCountdown_ = sampleInterval_;
+        meter_.interval = n ? n : 1;
+        meter_.countdown = meter_.interval;
     }
 
     /**
@@ -81,18 +65,22 @@ class MachineSimulator
      * across runs. Every profile event also gives the CodeManager a
      * chance to promote the hot function to the trace tier.
      */
-    void setProfile(EdgeProfile *profile) { profile_ = profile; }
+    void setProfile(EdgeProfile *profile) { meter_.profile = profile; }
 
     /** Machine instructions executed across all run() calls
      *  (includes instructions interpreted via tier fallback). */
-    uint64_t instructionsExecuted() const { return executed_; }
+    uint64_t instructionsExecuted() const { return meter_.executed; }
 
     /** Instructions executed by the interpreter tier of last resort
      *  on behalf of functions with no native translation. */
     uint64_t instructionsInterpreted() const { return interpreted_; }
 
     /** Cap on executed machine instructions (0 = unlimited). */
-    void setInstructionLimit(uint64_t limit) { limit_ = limit; }
+    void
+    setInstructionLimit(uint64_t limit)
+    {
+        meter_.limit = limit ? limit : kUnlimited;
+    }
 
     // --- Cooperative pause / suspend --------------------------------------
 
@@ -120,7 +108,7 @@ class MachineSimulator
     }
 
     /** True while an activation is suspended awaiting resume(). */
-    bool paused() const { return suspended_.valid; }
+    bool paused() const { return parked_.has_value(); }
 
     /** Continue a paused activation to completion (or to the next
      *  pause). Only valid while paused(). */
@@ -146,6 +134,41 @@ class MachineSimulator
     bool restoreSuspended(ByteReader &r);
 
   private:
+    static constexpr uint64_t kUnlimited = ~uint64_t(0);
+
+    /**
+     * The per-instruction bookkeeping both execution loops share:
+     * the instruction count, its budget and the profile-sample
+     * countdown. A loop copies it into a local for its whole run —
+     * the indirect handler call clobbers memory, so a member would
+     * be reloaded and stored on every instruction, while a local
+     * stays in callee-saved registers — and stores it back on every
+     * exit.
+     */
+    struct Meter
+    {
+        uint64_t executed = 0;
+        uint64_t limit = kUnlimited; ///< all-ones when there is none
+        uint64_t countdown = 1;      ///< block events to the next sample
+        uint64_t interval = 1;
+        EdgeProfile *profile = nullptr;
+
+        /** Count one instruction; false once it exceeds the budget. */
+        bool tick() { return ++executed <= limit; }
+
+        /** Record the block entry \p from -> \p to if it is the
+         *  sampled one (BlockId{} = entry with no predecessor). */
+        void note(BlockId from, BlockId to);
+    };
+
+    /** Releases an epoch pin when its owner goes away. */
+    struct Unpin
+    {
+        uint64_t epoch;
+        void operator()(CodeManager *cm) const { cm->unpinEpoch(epoch); }
+    };
+    using EpochPin = std::unique_ptr<CodeManager, Unpin>;
+
     struct Frame
     {
         const MachineFunction *mf = nullptr;
@@ -154,11 +177,23 @@ class MachineSimulator
         uint64_t spAtCall = 0; ///< sp when the call was made
     };
 
-    /** A paused activation, held between run() and resume(). */
-    struct Suspended
+    /**
+     * One activation of run(): the entry function, the architectural
+     * state, the call frames and the position about to execute
+     * (block->instrs()[index]; index == size is a pending
+     * fallthrough). It pins the reclamation epoch for its whole
+     * life — the frames hold raw MachineFunction pointers that a
+     * concurrent replaceFunctionLive()/promotion may retire — so a
+     * paused activation carries its pin with it.
+     */
+    struct Activation
     {
-        bool valid = false;
-        const Function *f = nullptr;
+        explicit Activation(CodeManager &cm)
+            : pin(&cm, Unpin{cm.pinEpoch()})
+        {}
+
+        EpochPin pin;
+        const Function *entry = nullptr;
         SimState state;
         std::vector<Frame> frames;
         const MachineFunction *mf = nullptr;
@@ -166,8 +201,27 @@ class MachineSimulator
         size_t index = 0;
     };
 
-    ExecResult runInternal(const Function *f,
-                           const std::vector<RtValue> &args);
+    // One activation loop (start/resume -> drive) over its three
+    // parts: the unchained block stepper, the chained superblock
+    // loop, and the frame core (call/ret/unwind). See machine_sim.cpp.
+    ExecResult start(const Function *f,
+                     const std::vector<RtValue> &args);
+    ExecResult drive(Activation &a);
+    ExecResult deliverTrap(ExecResult result);
+    ChainedFunction *liveChain(const MachineFunction *mf);
+    bool step(Activation &a);
+    bool runChained(Activation &a, ChainedFunction &chain);
+    bool call(Activation &a, ExecResult &r);
+    bool ret(Activation &a, ExecResult &r);
+    bool unwind(Activation &a, ExecResult &r);
+    void returnTo(Activation &a, MachineBasicBlock *block,
+                  size_t index);
+    void noteEntry(const Activation &a);
+
+    bool pauseDue(uint64_t executed) const;
+    /** Syncs \p m back (by value: the loops' meter never escapes),
+     *  then fails the run. */
+    [[noreturn]] void budgetExceeded(Meter m);
 
     /** Interpret \p f (no native translation) with allocas carved
      *  below \p stackBase; merges instruction accounting. */
@@ -175,25 +229,20 @@ class MachineSimulator
                                  const std::vector<RtValue> &args,
                                  uint64_t stackBase);
 
+    /** Apply the SMC invalidations the program requested. */
+    void applyInvalidations();
+
     ExecutionContext &ctx_;
     CodeManager &code_;
-    uint64_t executed_ = 0;
+    Meter meter_;
     uint64_t interpreted_ = 0;
-    uint64_t limit_ = 0;
-    EdgeProfile *profile_ = nullptr;
-    Dispatch dispatch_ = Dispatch::Threaded;
-    uint64_t sampleInterval_ = 1;
-    uint64_t sampleCountdown_ = 1;
 
     // Pause/suspend state. The flag and watermark are atomics so a
     // chaos/control thread can arm them mid-run; everything else is
     // touched only by the executing thread.
     std::atomic<bool> pauseFlag_{false};
     std::atomic<uint64_t> pauseAt_{0};
-    Suspended suspended_;
-    bool resuming_ = false;
-    uint64_t pausedPin_ = 0; ///< epoch pin carried across a pause
-    bool hasPausedPin_ = false;
+    std::optional<Activation> parked_;
 };
 
 } // namespace llva

@@ -310,27 +310,63 @@ TEST(Adaptive, FaultingTraceTierKeepsExistingTranslation)
 TEST(Adaptive, SimulatorProfileMatchesInterpreterOnHotBlocks)
 {
     // The machine simulator profiles *translated* code, but stable
-    // IDs resolve to the same names the interpreter sees (-O0 keeps
-    // the CFG intact), so the hot-block counts must agree exactly.
-    EdgeProfile interpProfile = sampleProfile();
+    // IDs resolve to the same names the interpreter sees, so both of
+    // its loops must count exactly what the interpreter counts on the
+    // same IR: the block stepper on an -O0 body (whose machine CFG
+    // mirrors the IR CFG), and the chained loop on a warm run — main
+    // promoted by the first run, its trace-tier body chained from the
+    // first instruction — against the IR translation ran -O2 over.
+    auto expectInterpreterCounts = [](Module &m, const EdgeProfile &sim,
+                                      const std::string &what) {
+        Function *f = m.getFunction("main");
+        ExecutionContext ctx(m);
+        Interpreter interp(ctx);
+        EdgeProfile want;
+        interp.setProfile(&want);
+        ASSERT_TRUE(interp.run(f).ok()) << what;
+        for (const auto &bb : *f)
+            EXPECT_EQ(sim.blockCount(bb.get()), want.blockCount(bb.get()))
+                << what << " block '" << bb->name() << "'";
+        ASSERT_FALSE(want.edges.empty()) << what;
+        for (const auto &[edge, count] : want.edges) {
+            auto it = sim.edges.find(edge);
+            EXPECT_EQ(it == sim.edges.end() ? 0 : it->second, count)
+                << what;
+        }
+    };
 
-    auto m = parseAssembly(kHotLoop).orDie();
-    CodeGenOptions opts; // -O0: machine CFG mirrors the IR CFG
-    ExecutionContext ctx(*m);
-    CodeManager cm(*getTarget("sparc"), opts);
-    MachineSimulator sim(ctx, cm);
-    EdgeProfile simProfile;
-    sim.setProfile(&simProfile);
-    auto r = sim.run(m->getFunction("main"));
-    ASSERT_TRUE(r.ok());
+    for (const std::string &target : targetNames()) {
+        {
+            auto m = parseAssembly(kHotLoop).orDie();
+            CodeManager cm(*getTarget(target), CodeGenOptions{});
+            ExecutionContext ctx(*m);
+            MachineSimulator sim(ctx, cm);
+            EdgeProfile stepped;
+            sim.setProfile(&stepped);
+            ASSERT_TRUE(sim.run(m->getFunction("main")).ok()) << target;
+            expectInterpreterCounts(*m, stepped, target + " -O0");
+        }
 
-    Function *f = m->getFunction("main");
-    for (const char *name : {"head", "hot", "cold", "latch"})
-        EXPECT_EQ(simProfile.blockCount(f->findBlock(name)),
-                  interpProfile.blockCount(f->findBlock(name)))
-            << "block '" << name << "'";
-    EXPECT_EQ(simProfile.edgeCount(f->findBlock("latch"),
-                                   f->findBlock("head")),
-              interpProfile.edgeCount(f->findBlock("latch"),
-                                      f->findBlock("head")));
+        auto m = parseAssembly(kHotLoop).orDie();
+        Function *f = m->getFunction("main");
+        CodeManager cm(*getTarget(target), adaptiveOpts(500));
+        EdgeProfile adaptive;
+        cm.setAdaptive(&adaptive, 500);
+        {
+            ExecutionContext ctx(*m);
+            MachineSimulator warm(ctx, cm);
+            warm.setProfile(&adaptive);
+            ASSERT_TRUE(warm.run(f).ok()) << target;
+        }
+        ASSERT_EQ(cm.tierOf(f), kTierTrace) << target;
+        EdgeProfile chained;
+        {
+            ExecutionContext ctx(*m);
+            MachineSimulator sim(ctx, cm);
+            sim.setProfile(&chained);
+            ASSERT_TRUE(sim.run(f).ok()) << target;
+        }
+        ASSERT_GE(cm.chainedFunctions(), 1u) << target;
+        expectInterpreterCounts(*m, chained, target + " warm chained");
+    }
 }

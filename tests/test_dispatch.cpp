@@ -1,12 +1,13 @@
 /**
  * @file
- * Threaded dispatch and superblock chaining tests: the direct-
- * threaded engine (with chained trace-tier superblocks) must be
- * observably identical to the legacy switch engine on every
- * workload, chains must link lazily and unlink on invalidate()/SMC
- * retirement, sampled profiling must estimate exact counts, and the
- * two bugfixes that rode along — trap-handler outcomes and exact
- * instruction budgets — get regression coverage.
+ * Simulator dispatch and superblock chaining tests: runs of every
+ * workload on every target — unchained at every static tier, and
+ * warm and chained at the trace tier — must match the reference
+ * interpreter (with exact and sampled profiling, and when paused
+ * and resumed at arbitrary points), chains must link lazily and
+ * unlink on invalidate()/SMC retirement, sampled profiling must
+ * estimate exact counts, and trap-handler outcomes and exact
+ * instruction budgets get regression coverage.
  */
 
 #include <gtest/gtest.h>
@@ -77,75 +78,184 @@ adaptiveOpts(uint64_t watermark = 500)
 
 LLEEResult
 runLLEE(const std::vector<uint8_t> &bc, const std::string &target,
-        CodeGenOptions opts, MachineSimulator::Dispatch dispatch,
-        uint64_t sampleInterval = 1)
+        CodeGenOptions opts, uint64_t sampleInterval = 1)
 {
     LLEE llee(*getTarget(target), nullptr, opts);
-    llee.setDispatch(dispatch);
     llee.setProfileSampleInterval(sampleInterval);
     return llee.execute(bc);
 }
 
+/** What the reference interpreter computes for a workload. */
+struct Oracle
+{
+    uint64_t value = 0;
+    std::string output;
+};
+
+Oracle
+interpret(const std::string &workload)
+{
+    auto m = buildWorkload(workload, 1);
+    ExecutionContext ctx(*m);
+    Interpreter interp(ctx);
+    auto r = interp.run(m->getFunction("main"));
+    EXPECT_TRUE(r.ok()) << trapKindName(r.trap);
+    return {r.value.i, ctx.output()};
+}
+
+/**
+ * A workload resident in an adaptive code cache after one warm run,
+ * the way a long-lived VM serves it: the hot functions are promoted
+ * during the warm run, so every later run executes their trace-tier
+ * bodies chained from the first call. The watermark is low enough
+ * that every workload promotes at scale 1.
+ */
+struct Resident
+{
+    static constexpr uint64_t kWatermark = 100;
+
+    std::unique_ptr<Module> m;
+    EdgeProfile profile;
+    CodeManager cm;
+
+    Resident(const std::string &workload, const std::string &target)
+        : m(buildWorkload(workload, 1)),
+          cm(*getTarget(target), adaptiveOpts(kWatermark))
+    {
+        verifyOrDie(*m);
+        cm.setAdaptive(&profile, kWatermark);
+        ExecutionContext ctx(*m);
+        MachineSimulator sim(ctx, cm);
+        sim.setProfile(&profile);
+        EXPECT_TRUE(sim.run(main()).ok()) << target;
+        EXPECT_GE(cm.promotions(), 1u) << target;
+    }
+
+    const Function *main() const { return m->getFunction("main"); }
+};
+
 } // namespace
 
-// --- Differential: threaded engine vs legacy switch engine -----------
+// --- Differential: warm chained simulator vs the interpreter ---------
 
 class DispatchSuite : public ::testing::TestWithParam<std::string>
 {};
 
 TEST_P(DispatchSuite, ThreadedMatchesSwitchAtEveryTier)
 {
+    // The name dates from when a second, switch-based engine was the
+    // comparison; the simulator now has one engine, and the reference
+    // interpreter is the independent answer. At every static tier
+    // nothing chains, so this covers the unchained block stepper:
+    // it must match the interpreter, and pausing it every K
+    // instructions must not change what executes — the same answer
+    // in exactly as many instructions as the uninterrupted run.
+    const Oracle want = interpret(GetParam());
     auto m = buildWorkload(GetParam(), 1);
     verifyOrDie(*m);
-    auto bc = writeBytecode(*m);
 
     for (const std::string &target : targetNames()) {
         for (uint8_t level : {0, 1, 2}) {
             CodeGenOptions opts;
             opts.optLevel = level;
-            LLEEResult sw = runLLEE(
-                bc, target, opts, MachineSimulator::Dispatch::Switch);
-            LLEEResult th = runLLEE(
-                bc, target, opts,
-                MachineSimulator::Dispatch::Threaded);
-            ASSERT_TRUE(sw.exec.ok() && th.exec.ok())
+            CodeManager cm(*getTarget(target), opts);
+
+            uint64_t total = 0;
+            {
+                ExecutionContext ctx(*m);
+                MachineSimulator sim(ctx, cm);
+                auto r = sim.run(m->getFunction("main"));
+                ASSERT_TRUE(r.ok()) << target << " -O" << int(level);
+                EXPECT_EQ(r.value.i, want.value)
+                    << target << " -O" << int(level);
+                EXPECT_EQ(ctx.output(), want.output)
+                    << target << " -O" << int(level);
+                total = sim.instructionsExecuted();
+            }
+            EXPECT_EQ(cm.chainedFunctions(), 0u)
                 << target << " -O" << int(level);
-            EXPECT_EQ(th.exec.value.i, sw.exec.value.i)
+
+            const uint64_t k = total / 20 + 1;
+            ExecutionContext ctx(*m);
+            MachineSimulator sim(ctx, cm);
+            sim.setPauseAt(k);
+            auto r = sim.run(m->getFunction("main"));
+            size_t pauses = 0;
+            while (r.paused) {
+                ++pauses;
+                sim.setPauseAt(sim.instructionsExecuted() + k);
+                r = sim.resume();
+            }
+            ASSERT_TRUE(r.ok()) << target << " -O" << int(level);
+            EXPECT_GE(pauses, 1u) << target << " -O" << int(level);
+            EXPECT_EQ(r.value.i, want.value)
                 << target << " -O" << int(level);
-            EXPECT_EQ(th.output, sw.output)
+            EXPECT_EQ(ctx.output(), want.output)
                 << target << " -O" << int(level);
-            // Dispatch strategy must not change what executes, only
-            // how fast: instruction-for-instruction identical.
-            EXPECT_EQ(th.machineInstructionsExecuted,
-                      sw.machineInstructionsExecuted)
+            EXPECT_EQ(sim.instructionsExecuted(), total)
                 << target << " -O" << int(level);
         }
     }
 }
 
-TEST_P(DispatchSuite, ChainedTraceTierMatchesSwitchEngine)
+TEST_P(DispatchSuite, WarmChainedRunMatchesInterpreter)
 {
-    auto m = buildWorkload(GetParam(), 1);
-    verifyOrDie(*m);
-    auto bc = writeBytecode(*m);
-
+    const Oracle want = interpret(GetParam());
     for (const std::string &target : targetNames()) {
-        LLEEResult sw =
-            runLLEE(bc, target, adaptiveOpts(200),
-                    MachineSimulator::Dispatch::Switch);
-        LLEEResult th =
-            runLLEE(bc, target, adaptiveOpts(200),
-                    MachineSimulator::Dispatch::Threaded);
-        ASSERT_TRUE(sw.exec.ok() && th.exec.ok()) << target;
-        EXPECT_EQ(th.exec.value.i, sw.exec.value.i) << target;
-        EXPECT_EQ(th.output, sw.output) << target;
-        EXPECT_EQ(th.machineInstructionsExecuted,
-                  sw.machineInstructionsExecuted)
-            << target;
-        // The cached-hash profile must count exactly what the
-        // rehash-per-event baseline counts, promoting identically.
-        EXPECT_EQ(th.profileSamples, sw.profileSamples) << target;
-        EXPECT_EQ(th.promotions, sw.promotions) << target;
+        Resident res(GetParam(), target);
+        for (uint64_t interval : {1, 32}) {
+            ExecutionContext ctx(*res.m);
+            MachineSimulator sim(ctx, res.cm);
+            sim.setProfile(&res.profile);
+            sim.setProfileSampleInterval(interval);
+            auto r = sim.run(res.main());
+            ASSERT_TRUE(r.ok()) << target << " sample " << interval;
+            EXPECT_EQ(r.value.i, want.value)
+                << target << " sample " << interval;
+            EXPECT_EQ(ctx.output(), want.output)
+                << target << " sample " << interval;
+            EXPECT_GE(res.cm.chainedFunctions(), 1u) << target;
+        }
+    }
+}
+
+TEST_P(DispatchSuite, PausedWarmRunMatchesInterpreter)
+{
+    // Pausing parks the activation at a dispatch boundary — any
+    // instruction of an unchained body, any block transition of a
+    // chained one — and resume() must continue it exactly: the same
+    // answer, and not one instruction more or less than the same
+    // warm run left alone.
+    const Oracle want = interpret(GetParam());
+    for (const std::string &target : targetNames()) {
+        uint64_t total = 0;
+        {
+            Resident res(GetParam(), target);
+            ExecutionContext ctx(*res.m);
+            MachineSimulator sim(ctx, res.cm);
+            sim.setProfile(&res.profile);
+            ASSERT_TRUE(sim.run(res.main()).ok()) << target;
+            total = sim.instructionsExecuted();
+        }
+        const uint64_t k = total / 50 + 1;
+
+        Resident res(GetParam(), target);
+        ExecutionContext ctx(*res.m);
+        MachineSimulator sim(ctx, res.cm);
+        sim.setProfile(&res.profile);
+        sim.setPauseAt(k);
+        auto r = sim.run(res.main());
+        size_t pauses = 0;
+        while (r.paused) {
+            ++pauses;
+            sim.setPauseAt(sim.instructionsExecuted() + k);
+            r = sim.resume();
+        }
+        ASSERT_TRUE(r.ok()) << target;
+        EXPECT_GE(pauses, 1u) << target;
+        EXPECT_EQ(r.value.i, want.value) << target;
+        EXPECT_EQ(ctx.output(), want.output) << target;
+        EXPECT_EQ(sim.instructionsExecuted(), total) << target;
     }
 }
 
@@ -208,7 +318,7 @@ TEST(Chaining, SmcReplaceUnlinksTheRetiredChain)
     // llva.smc.replace.function from inside the program: the hot
     // callee is promoted (and chained), then replaced mid-run. The
     // retired chain must be unlinked, and the replacement visible
-    // to future calls — under both dispatch engines.
+    // to future calls.
     auto m = parseAssembly(R"(
 declare void %llva.smc.replace.function(ubyte* %t, ubyte* %r)
 internal int %work(int %n) {
@@ -247,26 +357,21 @@ swap:
 )").orDie();
     verifyOrDie(*m);
 
-    for (auto dispatch : {MachineSimulator::Dispatch::Threaded,
-                          MachineSimulator::Dispatch::Switch}) {
-        ExecutionContext ctx(*m);
-        CodeManager cm(*getTarget("x86"), adaptiveOpts());
-        EdgeProfile profile;
-        cm.setAdaptive(&profile, 500);
-        MachineSimulator sim(ctx, cm);
-        sim.setDispatch(dispatch);
-        sim.setProfile(&profile);
+    ExecutionContext ctx(*m);
+    CodeManager cm(*getTarget("x86"), adaptiveOpts());
+    EdgeProfile profile;
+    cm.setAdaptive(&profile, 500);
+    MachineSimulator sim(ctx, cm);
+    sim.setProfile(&profile);
 
-        auto r = sim.run(m->getFunction("main"));
-        ASSERT_TRUE(r.ok());
-        // Future invocations see the replacement...
-        EXPECT_EQ(static_cast<int64_t>(r.value.i), 7);
-        ASSERT_GE(cm.promotions(), 1u);
-        // ...and under the threaded engine the promoted body's
-        // chain was built, then severed by the SMC retirement.
-        if (dispatch == MachineSimulator::Dispatch::Threaded)
-            EXPECT_GE(cm.chainsUnlinked(), 1u);
-    }
+    auto r = sim.run(m->getFunction("main"));
+    ASSERT_TRUE(r.ok());
+    // Future invocations see the replacement...
+    EXPECT_EQ(static_cast<int64_t>(r.value.i), 7);
+    ASSERT_GE(cm.promotions(), 1u);
+    // ...and the promoted body's chain was built, then severed by
+    // the SMC retirement.
+    EXPECT_GE(cm.chainsUnlinked(), 1u);
 }
 
 // --- Sampled, decaying profiling -------------------------------------
@@ -277,15 +382,12 @@ TEST(SampledProfile, WeightedSamplesEstimateExactCounts)
     verifyOrDie(*m);
     auto bc = writeBytecode(*m);
 
-    LLEEResult exact =
-        runLLEE(bc, "x86", adaptiveOpts(),
-                MachineSimulator::Dispatch::Threaded, 1);
+    LLEEResult exact = runLLEE(bc, "x86", adaptiveOpts(), 1);
     ASSERT_TRUE(exact.exec.ok());
 
     constexpr uint64_t kInterval = 8;
     LLEEResult sampled =
-        runLLEE(bc, "x86", adaptiveOpts(),
-                MachineSimulator::Dispatch::Threaded, kInterval);
+        runLLEE(bc, "x86", adaptiveOpts(), kInterval);
     ASSERT_TRUE(sampled.exec.ok());
 
     // Same observable execution...
@@ -540,8 +642,8 @@ TEST(InstructionLimit, SimulatorBudgetIsExactAcrossTierFallback)
 
 TEST(InstructionLimit, ChainedFastPathHonorsTheBudget)
 {
-    // The superblock fast path has its own limit check: budgets are
-    // exact at the trace tier too.
+    // Budgets are exact in the chained superblock loop too, which
+    // keeps its instruction count in a local across handler calls.
     auto m = parseAssembly(kHotCalls).orDie();
     verifyOrDie(*m);
 

@@ -189,7 +189,10 @@ TEST(LiveUpdate, ConcurrentReplaceWhileExecuting)
     // work() 40 times, promoting it mid-run) while a second thread
     // keeps replacing work()'s translation out from under it. The
     // run must compute the exact quiet-baseline answer, and every
-    // retired body must be reclaimed once the activation ends.
+    // retired body must be reclaimed once the activation ends. The
+    // executor parks mid-run until a replacement has landed, so at
+    // least one always lands inside the activation however the
+    // threads are scheduled.
     auto m = parseAssembly(kHotCalls).orDie();
     verifyOrDie(*m);
     const Function *work = m->getFunction("work");
@@ -212,10 +215,18 @@ TEST(LiveUpdate, ConcurrentReplaceWhileExecuting)
         }
     });
 
+    sim.setPauseAt(2000);
     auto r = sim.run(m->getFunction("main"));
+    const bool parked = r.paused;
+    if (parked) {
+        while (replacements.load(std::memory_order_relaxed) == 0)
+            std::this_thread::yield();
+        r = sim.resume();
+    }
     done.store(true, std::memory_order_relaxed);
     chaos.join();
 
+    ASSERT_TRUE(parked);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(static_cast<int64_t>(r.value.i), kMainSum);
     EXPECT_GE(replacements.load(), 1u);

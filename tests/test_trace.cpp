@@ -104,27 +104,13 @@ TEST(Trace, StableIdsSurviveSnapshotRestore)
     EXPECT_EQ(traces.front().head(), f->findBlock("head"));
 }
 
-TEST(Trace, DeprecatedPointerApiIsChecked)
+TEST(Trace, DetachedBlockIdPanics)
 {
     auto m = parseAssembly(kBiasedLoop).orDie();
     Function *f = m->getFunction("main");
-    ExecutionContext ctx(*m);
-    Interpreter interp(ctx);
-    EdgeProfile profile;
-    interp.setProfile(&profile);
-    interp.run(f);
-
-    // The deprecated shims still answer (through stable IDs)...
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    EXPECT_EQ(profile.at(f->findBlock("head")), 1000u);
-    EXPECT_EQ(profile.at(f->findBlock("head"), f->findBlock("hot")),
-              990u);
-#pragma GCC diagnostic pop
-
-    // ...and asking for the ID of a detached block — the situation
-    // the pointer-keyed profile silently corrupted on — panics
-    // instead of reading freed memory.
+    // Asking for the ID of a detached block — the situation a
+    // pointer-keyed profile silently corrupted on — panics instead
+    // of reading freed memory.
     BasicBlock detached(f->functionType()->context(), "orphan");
     EXPECT_DEATH(blockId(&detached), "detached basic block");
 }

@@ -67,7 +67,6 @@ usage()
   llva-run <input.bc>  [--target %s] [--cache DIR] [--interp]
                        [--entry NAME] [-O<0|1|2>] [-j N] [-stats]
                        [--adaptive] [--watermark N] [-print-traces]
-                       [--dispatch switch|threaded]
                        [--profile-sample N]
                        [--checkpoint FILE] [--restore FILE]
                        [--pause-at N]
@@ -101,10 +100,6 @@ usage()
   --watermark N promote a function once its profile accumulates N
                 block samples (default 5000; implies nothing
                 without --adaptive)
-  --dispatch switch|threaded
-                inner-loop dispatch of the simulated processor:
-                legacy switch, or direct-threaded handlers with
-                chained trace-tier superblocks (default)
   --profile-sample N
                 record every Nth profile event with weight N
                 (default 1 = exact counting)
@@ -377,7 +372,6 @@ toolRun(const std::vector<std::string> &args)
     bool interp = false, printStats = false;
     CodeGenOptions opts;
     unsigned jobs = 1;
-    auto dispatch = MachineSimulator::Dispatch::Threaded;
     uint64_t sampleInterval = 1;
     for (size_t i = 0; i < args.size(); ++i) {
         if (args[i] == "--target" && i + 1 < args.size())
@@ -395,16 +389,8 @@ toolRun(const std::vector<std::string> &args)
         else if (args[i] == "--watermark" && i + 1 < args.size())
             opts.promoteWatermark =
                 std::strtoull(args[++i].c_str(), nullptr, 10);
-        else if (args[i] == "--dispatch" && i + 1 < args.size()) {
-            const std::string &d = args[++i];
-            if (d == "switch")
-                dispatch = MachineSimulator::Dispatch::Switch;
-            else if (d == "threaded")
-                dispatch = MachineSimulator::Dispatch::Threaded;
-            else
-                fatal("unknown dispatch '%s'", d.c_str());
-        } else if (args[i] == "--profile-sample" &&
-                   i + 1 < args.size())
+        else if (args[i] == "--profile-sample" &&
+                 i + 1 < args.size())
             sampleInterval =
                 std::strtoull(args[++i].c_str(), nullptr, 10);
         else if (args[i] == "--checkpoint" && i + 1 < args.size())
@@ -462,7 +448,6 @@ toolRun(const std::vector<std::string> &args)
         storage = std::make_unique<FileStorage>(cache);
     LLEE llee(*t, storage.get(), opts);
     llee.setJobs(jobs);
-    llee.setDispatch(dispatch);
     llee.setProfileSampleInterval(sampleInterval);
     auto bytes = readFileBytes(input);
     if (!(bytes.size() >= 4 && bytes[0] == 'L'))
