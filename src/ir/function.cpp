@@ -34,9 +34,7 @@ BasicBlock *
 Function::createBlock(const std::string &name)
 {
     auto bb = std::make_unique<BasicBlock>(fnType_->context(), name);
-    bb->setParent(this);
-    blocks_.push_back(std::move(bb));
-    return blocks_.back().get();
+    return adoptBlock(std::move(bb));
 }
 
 BasicBlock *
@@ -116,6 +114,10 @@ Function::adoptBlock(std::unique_ptr<BasicBlock> bb)
 {
     bb->setParent(this);
     blocks_.push_back(std::move(bb));
+    // Written once: even a same-value store would race with engines
+    // reading isDeclaration() without the code manager's lock.
+    if (!defined_)
+        defined_ = true;
     return blocks_.back().get();
 }
 

@@ -24,9 +24,9 @@ class Module;
  * a pointer to its FunctionType, so functions can be passed and
  * called indirectly like any other pointer.
  *
- * A function with no basic blocks is a declaration: either an
- * external symbol resolved at (virtual) link time or one of the LLVA
- * intrinsics (paper Section 3.5), whose names start with "llva.".
+ * A function that never had a basic block is a declaration: either
+ * an external symbol resolved at (virtual) link time or one of the
+ * LLVA intrinsics (paper Section 3.5), whose names start with "llva.".
  */
 class Function : public Constant
 {
@@ -47,7 +47,11 @@ class Function : public Constant
     Linkage linkage() const { return linkage_; }
     void setLinkage(Linkage l) { linkage_ = l; }
 
-    bool isDeclaration() const { return blocks_.empty(); }
+    /** Fixed when the first block arrives: no path turns a definition
+     *  back into a declaration, so this stays false while body surgery
+     *  (FunctionSnapshot::restoreInto) empties the block list, and an
+     *  engine may read it without the code manager's lock. */
+    bool isDeclaration() const { return !defined_; }
 
     /** LLVA intrinsic functions are declarations named "llva.*". */
     bool
@@ -127,6 +131,7 @@ class Function : public Constant
     Linkage linkage_;
     std::vector<std::unique_ptr<Argument>> args_;
     BlockList blocks_;
+    bool defined_ = false; ///< set with the first block, never cleared
 };
 
 } // namespace llva

@@ -9,6 +9,12 @@
  * (Section 3.3), invoke/unwind stack unwinding, SMC redirects that
  * affect only future invocations (Section 3.4), and trap-handler
  * dispatch (Section 3.5).
+ *
+ * The interpreter uses no host recursion: every guest call runs on
+ * one explicit frame vector inside one loop, so guest call depth is
+ * bounded by kMaxCallDepth alone, never by the host thread's stack.
+ * The depth cap, the external-call rule and trap-handler delivery are
+ * the ones the machine simulator applies (vm/runtime.h).
  */
 
 #ifndef LLVA_VM_INTERPRETER_H
@@ -18,20 +24,6 @@
 #include "vm/runtime.h"
 
 namespace llva {
-
-/** Outcome of executing a function or whole program. */
-struct ExecResult
-{
-    RtValue value;
-    bool unwound = false; ///< unwind escaped past the entry function
-    TrapKind trap = TrapKind::None;
-    size_t instructionsExecuted = 0;
-    /** Execution paused cooperatively (MachineSimulator only); the
-     *  activation is suspended, not finished — value is not set. */
-    bool paused = false;
-
-    bool ok() const { return !unwound && trap == TrapKind::None; }
-};
 
 // EdgeProfile — the profile information the trace-formation
 // machinery of Section 4.2 consumes, and what LLEE persists to
@@ -56,32 +48,22 @@ class Interpreter
     /**
      * Execute one function as a fallback from native execution (the
      * tier of last resort): allocas carve down from \p stackBase
-     * (the caller's native stack pointer; 0 = top of stack), and
-     * traps are returned to the caller undispatched — the machine
-     * simulator owns trap-handler policy.
+     * (the caller's native stack pointer; 0 = top of stack), \p f's
+     * frame sits at call depth \p depth, and traps are returned to
+     * the caller undispatched — the machine simulator delivers them.
+     * The instruction count runs on across invoke() calls.
      */
     ExecResult invoke(const Function *f,
                       const std::vector<RtValue> &args,
-                      uint64_t stackBase = 0);
+                      uint64_t stackBase = 0, size_t depth = 0);
 
     /** Cap on interpreted instructions (0 = unlimited). */
     void setInstructionLimit(size_t limit) { limit_ = limit; }
 
   private:
-    struct CallOutcome
-    {
-        RtValue value;
-        bool unwound = false;
-        TrapKind trap = TrapKind::None;
-    };
-
-    CallOutcome call(const Function *f,
-                     const std::vector<RtValue> &args, unsigned depth);
-
     ExecutionContext &ctx_;
     size_t executed_ = 0;
     size_t limit_ = 0;
-    uint64_t stackBrk_ = 0;
     EdgeProfile *profile_ = nullptr;
 };
 

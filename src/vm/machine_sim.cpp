@@ -4,14 +4,7 @@
 
 namespace llva {
 
-// Defined in interpreter.cpp — both engines count failed trap
-// deliveries into one counter (the registry resolves names to the
-// first registrant, so a second definition would be shadowed).
-extern Statistic NumTrapHandlerMissing;
-
 namespace {
-
-constexpr size_t kMaxCallDepth = 2048;
 
 Statistic NumProfileSamples(
     "llee.profile_samples",
@@ -111,6 +104,15 @@ MachineSimulator::run(const Function *f,
     return deliverTrap(start(f, args));
 }
 
+/** The shared rule, running a handler as a new activation. */
+ExecResult
+MachineSimulator::deliverTrap(ExecResult result)
+{
+    return ctx_.deliverTrap(result, [this](auto *hf, auto &a) {
+        return start(hf, a);
+    });
+}
+
 ExecResult
 MachineSimulator::resume()
 {
@@ -124,41 +126,10 @@ MachineSimulator::resume()
     return deliverTrap(drive(a));
 }
 
-/** Trap-handler dispatch (paper Section 3.5). */
-ExecResult
-MachineSimulator::deliverTrap(ExecResult result)
-{
-    if (result.trap == TrapKind::None)
-        return result;
-    unsigned trapno = static_cast<unsigned>(result.trap);
-    uint64_t handler = ctx_.trapHandler(trapno);
-    if (!handler)
-        return result;
-    const Function *hf = ctx_.memory().functionAt(handler);
-    if (!hf) {
-        // A registered address that no longer names a function (SMC
-        // moved it, or it was bogus) means the handler silently
-        // never runs — count it.
-        ++NumTrapHandlerMissing;
-        return result;
-    }
-    ExecResult hr =
-        start(hf, {RtValue::ofInt(trapno), RtValue::ofInt(0)});
-    result.instructionsExecuted = meter_.executed;
-    // The handler's own outcome must not be swallowed: a trap raised
-    // inside the handler supersedes the trap it was handling, and an
-    // unwind escaping the handler surfaces as an escaped unwind.
-    if (hr.trap != TrapKind::None)
-        result.trap = hr.trap;
-    if (hr.unwound)
-        result.unwound = true;
-    return result;
-}
-
 ExecResult
 MachineSimulator::interpretFallback(const Function *f,
                                     const std::vector<RtValue> &args,
-                                    uint64_t stackBase)
+                                    uint64_t stackBase, size_t depth)
 {
     // Hand the interpreter exactly the remaining budget. A drained
     // budget must not buy a free instruction: any defined function
@@ -176,7 +147,7 @@ MachineSimulator::interpretFallback(const Function *f,
         // the interpreted call so no concurrent replacement can
         // optimize the body out from under the walk.
         auto lock = code_.readLock();
-        r = interp.invoke(f, args, stackBase);
+        r = interp.invoke(f, args, stackBase, depth);
     }
     meter_.executed += r.instructionsExecuted;
     interpreted_ += r.instructionsExecuted;
@@ -205,7 +176,7 @@ MachineSimulator::start(const Function *f,
     if (!a.mf) {
         // The entry function itself is pinned to the interpreter
         // tier; run it there with the default stack base.
-        ExecResult r = interpretFallback(f, args, 0);
+        ExecResult r = interpretFallback(f, args, 0, 0);
         r.instructionsExecuted = meter_.executed;
         return r;
     }
@@ -446,20 +417,13 @@ MachineSimulator::call(Activation &a, ExecResult &r)
 
     ExecResult out;
     if (callee->isDeclaration()) {
-        const RuntimeHandler *h = ctx_.handlerFor(callee->name());
-        if (!h)
-            fatal("call to unresolved external %%%s",
-                  callee->name().c_str());
-        out.value = (*h)(ctx_, target.readArgs(st, ft));
+        out = ctx_.callExternal(callee, target.readArgs(st, ft));
         // Consume any pending SMC invalidations the handler produced
         // before the next dispatch.
         applyInvalidations();
-        // A handler that rejected its arguments raises a recoverable
-        // trap instead of aborting: surface it through the same
-        // trap-dispatch path hardware traps take (paper Section 3.5).
-        out.trap = ctx_.takePendingTrap();
     } else {
-        if (a.frames.size() >= kMaxCallDepth ||
+        size_t depth = a.frames.size() + 1;
+        if (depth > kMaxCallDepth ||
             st.sp < ctx_.memory().stackLimit() + 4096) {
             r.trap = TrapKind::StackOverflow;
             return false;
@@ -475,7 +439,7 @@ MachineSimulator::call(Activation &a, ExecResult &r)
         // Callee is pinned to the interpreter tier: interpret it
         // with allocas below the caller's stack pointer.
         out = interpretFallback(callee, target.readArgs(st, ft),
-                                st.sp);
+                                st.sp, depth);
     }
     if (out.trap != TrapKind::None) {
         r.trap = out.trap;

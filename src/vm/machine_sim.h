@@ -27,7 +27,7 @@
 
 #include "support/byte_io.h"
 #include "vm/code_manager.h"
-#include "vm/interpreter.h" // ExecResult
+#include "vm/interpreter.h" // the tier of last resort
 #include "vm/runtime.h"
 
 namespace llva {
@@ -224,10 +224,11 @@ class MachineSimulator
     [[noreturn]] void budgetExceeded(Meter m);
 
     /** Interpret \p f (no native translation) with allocas carved
-     *  below \p stackBase; merges instruction accounting. */
+     *  below \p stackBase and its frame at call depth \p depth;
+     *  merges instruction accounting. */
     ExecResult interpretFallback(const Function *f,
                                  const std::vector<RtValue> &args,
-                                 uint64_t stackBase);
+                                 uint64_t stackBase, size_t depth);
 
     /** Apply the SMC invalidations the program requested. */
     void applyInvalidations();

@@ -9,6 +9,11 @@ namespace llva {
 
 namespace {
 
+Statistic NumTrapHandlerMissing(
+    "vm.trap_handler_missing",
+    "Trap deliveries whose registered handler address did not "
+    "resolve to a function");
+
 Statistic NumIntrinsicRejected(
     "vm.intrinsic_rejected",
     "LLVA intrinsic invocations rejected with a recoverable trap "
@@ -47,6 +52,44 @@ void
 ExecutionContext::setTrapHandler(unsigned trap_number, uint64_t addr)
 {
     trapHandlers_[trap_number] = addr;
+}
+
+ExecResult
+ExecutionContext::callExternal(const Function *f,
+                               const std::vector<RtValue> &args)
+{
+    const RuntimeHandler *h = handlerFor(f->name());
+    if (!h)
+        fatal("call to unresolved external %%%s", f->name().c_str());
+    ExecResult r;
+    r.value = (*h)(*this, args);
+    // A handler that rejected its arguments raised a recoverable trap
+    // instead of aborting: surface it like a hardware trap.
+    r.trap = takePendingTrap();
+    return r;
+}
+
+ExecResult
+ExecutionContext::deliverTrap(ExecResult result, const FunctionRunner &run)
+{
+    if (result.trap == TrapKind::None)
+        return result;
+    unsigned trapno = static_cast<unsigned>(result.trap);
+    uint64_t handler = trapHandler(trapno);
+    if (!handler)
+        return result;
+    const Function *hf = mem_.functionAt(handler);
+    if (!hf) {
+        ++NumTrapHandlerMissing;
+        return result;
+    }
+    ExecResult hr = run(hf, {RtValue::ofInt(trapno), RtValue::ofInt(0)});
+    result.instructionsExecuted = hr.instructionsExecuted;
+    if (hr.trap != TrapKind::None)
+        result.trap = hr.trap;
+    if (hr.unwound)
+        result.unwound = true;
+    return result;
 }
 
 const Function *

@@ -32,6 +32,33 @@ class ExecutionContext;
 using RuntimeHandler = std::function<RtValue(
     ExecutionContext &, const std::vector<RtValue> &)>;
 
+/** Outcome of executing a function or whole program. */
+struct ExecResult
+{
+    RtValue value;
+    bool unwound = false; ///< unwind escaped past the entry function
+    TrapKind trap = TrapKind::None;
+    size_t instructionsExecuted = 0;
+    /** Execution paused cooperatively (MachineSimulator only); the
+     *  activation is suspended, not finished — value is not set. */
+    bool paused = false;
+
+    bool ok() const { return !unwound && trap == TrapKind::None; }
+};
+
+/** Runs a function to completion on the engine that calls it. */
+using FunctionRunner = std::function<ExecResult(
+    const Function *, const std::vector<RtValue> &)>;
+
+/**
+ * The call-depth cap both engines enforce. A frame's depth is the
+ * number of defined-function frames beneath it (the entry's is 0); a
+ * call that would push a frame deeper traps with StackOverflow.
+ * Runtime-handler calls push no frame. An interpreter-tier callee of
+ * the simulator keeps the depth its frame would have had there.
+ */
+constexpr size_t kMaxCallDepth = 2048;
+
 /**
  * Shared state of one program execution: the simulated memory, the
  * captured output, trap handlers, the privileged bit, and the
@@ -113,10 +140,10 @@ class ExecutionContext
     /**
      * Raise a trap from inside a runtime handler. Handlers have no
      * return channel for failure, so a rejected intrinsic (bad
-     * function pointer, missing privilege) parks the trap here; both
-     * engines check takePendingTrap() after every handler invocation
-     * and deliver it through the regular trap-dispatch path — the
-     * program keeps running if it registered a handler.
+     * function pointer, missing privilege) parks the trap here;
+     * callExternal() collects it after every handler invocation and
+     * the engines deliver it through the regular trap-dispatch path —
+     * the program keeps running if it registered a handler.
      */
     void raiseTrap(TrapKind k) { pendingTrap_ = k; }
 
@@ -128,6 +155,27 @@ class ExecutionContext
         pendingTrap_ = TrapKind::None;
         return k;
     }
+
+    // --- Rules both execution engines share -----------------------------
+
+    /**
+     * The external-call rule: run the runtime handler of declaration
+     * \p f on \p args and collect the trap it raised, if any. A
+     * declaration with no handler is a fatal error.
+     */
+    ExecResult callExternal(const Function *f,
+                            const std::vector<RtValue> &args);
+
+    /**
+     * Trap-handler delivery (paper Section 3.5) for a finished run:
+     * \p run executes the handler registered for \p result's trap as
+     * an ordinary LLVA function taking (trap number, void* info). A
+     * trap the handler raises supersedes the one it handled, an
+     * unwind escaping it is surfaced, and the instruction count is
+     * the one its run reports. A handler address that names no
+     * function (SMC moved it, or it was bogus) is only counted.
+     */
+    ExecResult deliverTrap(ExecResult result, const FunctionRunner &run);
 
     // --- Checkpoint (VM migration) ---------------------------------------
 

@@ -7,6 +7,11 @@
  * all verified on both the interpreter and the machine simulators.
  */
 
+#include <pthread.h>
+
+#include <algorithm>
+#include <functional>
+
 #include <gtest/gtest.h>
 
 #include "parser/parser.h"
@@ -404,9 +409,9 @@ entry:
     EXPECT_EQ(static_cast<int64_t>(r2.value.i), 2);
 }
 
-TEST(Exceptions, StackOverflowTrapsInsteadOfCrashing)
-{
-    auto m = parseAssembly(R"(
+namespace {
+
+const char *kInfiniteRecursion = R"(
 internal int %inf(int %n) {
 entry:
     %n1 = add int %n, 1
@@ -418,10 +423,111 @@ entry:
     %r = call int %inf(int 0)
     ret int %r
 }
-)").orDie();
+)";
+
+/** Run \p body to completion on a thread whose host stack is
+ *  \p bytes long. */
+void
+runOnStack(size_t bytes, const std::function<void()> &body)
+{
+    pthread_attr_t attr;
+    ASSERT_EQ(pthread_attr_init(&attr), 0);
+    ASSERT_EQ(pthread_attr_setstacksize(&attr, bytes), 0);
+    pthread_t thread;
+    auto entry = [](void *arg) -> void * {
+        try {
+            (*static_cast<const std::function<void()> *>(arg))();
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << e.what();
+        }
+        return nullptr;
+    };
+    ASSERT_EQ(pthread_create(&thread, &attr, entry,
+                             const_cast<std::function<void()> *>(&body)),
+              0);
+    pthread_join(thread, nullptr);
+    pthread_attr_destroy(&attr);
+}
+
+} // namespace
+
+TEST(Exceptions, StackOverflowTrapsInsteadOfCrashing)
+{
+    auto m = parseAssembly(kInfiniteRecursion).orDie();
     verifyOrDie(*m);
     EXPECT_EQ(interpret(*m).trap, TrapKind::StackOverflow);
     EXPECT_EQ(simulate(*m, "sparc").trap, TrapKind::StackOverflow);
+
+    // Both engines apply one depth rule: only defined-function frames
+    // count, so a program that calls the runtime at every level
+    // prints the same levels before the same trap — whether the
+    // recursion runs translated or pinned to the interpreter.
+    auto printing = parseAssembly(R"(
+declare void %putint(long %v)
+declare int %putchar(int %c)
+internal int %deep(int %n) {
+entry:
+    %w = cast int %n to long
+    call void %putint(long %w)
+    %nl = call int %putchar(int 10)
+    %n1 = add int %n, 1
+    %r = call int %deep(int %n1)
+    ret int %r
+}
+int %main() {
+entry:
+    %r = call int %deep(int 0)
+    ret int %r
+}
+)").orDie();
+    verifyOrDie(*printing);
+    auto lines = [](const std::string &s) {
+        return size_t(std::count(s.begin(), s.end(), '\n'));
+    };
+    std::string want;
+    EXPECT_EQ(interpret(*printing, &want).trap, TrapKind::StackOverflow);
+    // Levels 1..kMaxCallDepth of %deep print; main is depth 0.
+    EXPECT_EQ(lines(want), kMaxCallDepth);
+    for (const std::string &target : targetNames()) {
+        for (bool pinned : {false, true}) {
+            std::string run = target + (pinned ? " pinned" : "");
+            ExecutionContext ctx(*printing);
+            CodeManager cm(*getTarget(target));
+            if (pinned)
+                cm.markInterpreted(printing->getFunction("deep"));
+            MachineSimulator sim(ctx, cm);
+            sim.setInstructionLimit(100000000);
+            auto r = sim.run(printing->getFunction("main"));
+            EXPECT_EQ(r.trap, TrapKind::StackOverflow) << run;
+            EXPECT_TRUE(ctx.output() == want)
+                << run << ": " << lines(ctx.output())
+                << " lines, interpreter " << lines(want);
+        }
+    }
+}
+
+TEST(Exceptions, DeepRecursionNeedsNoHostStack)
+{
+    // Guest calls run on explicit frames, not on the host stack: the
+    // depth cap is reached on a 256 KiB thread stack, both in the
+    // interpreter and in an interpreter-tier callee of the simulator.
+    auto m = parseAssembly(kInfiniteRecursion).orDie();
+    verifyOrDie(*m);
+    constexpr size_t kStack = 256 << 10;
+
+    TrapKind interpreted = TrapKind::None;
+    runOnStack(kStack, [&] { interpreted = interpret(*m).trap; });
+    EXPECT_EQ(interpreted, TrapKind::StackOverflow);
+
+    TrapKind pinned = TrapKind::None;
+    runOnStack(kStack, [&] {
+        ExecutionContext ctx(*m);
+        CodeManager cm(*getTarget("x86"));
+        cm.markInterpreted(m->getFunction("inf"));
+        MachineSimulator sim(ctx, cm);
+        pinned = sim.run(m->getFunction("main")).trap;
+    });
+    EXPECT_EQ(pinned, TrapKind::StackOverflow);
 }
 
 TEST(Exceptions, BadIndirectCallTraps)

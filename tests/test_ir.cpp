@@ -251,6 +251,25 @@ TEST_F(IRTest, SplitBlockMovesTail)
     EXPECT_EQ(y->parent(), tail);
 }
 
+TEST_F(IRTest, DefinitionStaysDefinedWhileItsBodyIsTaken)
+{
+    // Body surgery (FunctionSnapshot::restoreInto) empties the block
+    // list for an instant; engines read isDeclaration() without a
+    // lock, so it must not flicker.
+    IRBuilder b(m, entry);
+    b.ret(f->arg(0));
+    Function::BlockList body = f->takeBlocks();
+    EXPECT_TRUE(f->empty());
+    EXPECT_FALSE(f->isDeclaration());
+    for (auto &bb : body)
+        f->adoptBlock(std::move(bb));
+    EXPECT_FALSE(f->isDeclaration());
+
+    Function *ext =
+        m.createFunction(tc.functionOf(tc.intTy(), {}), "ext");
+    EXPECT_TRUE(ext->isDeclaration());
+}
+
 TEST_F(IRTest, FunctionValueIsPointerToFunctionType)
 {
     auto *pt = cast<PointerType>(f->type());
