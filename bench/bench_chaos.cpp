@@ -251,8 +251,8 @@ chaosPhase(Module &m, const std::vector<uint8_t> &bc,
     out.seconds = timer.seconds();
 
     // After the fire: the shared cache must still serve a quiet run
-    // exactly, and every retired body/chain must have been
-    // reclaimed (no pins remain — nothing may leak).
+    // exactly, and every retired body (with its chain) must have
+    // been reclaimed (no pins remain — nothing may leak).
     {
         EdgeProfile local;
         auto ctx = freshContext(m, cm);
@@ -261,7 +261,7 @@ chaosPhase(Module &m, const std::vector<uint8_t> &bc,
         auto r = sim.run(m.getFunction("main"));
         check(r.ok(), r.value.i, ctx->output());
     }
-    out.retiredLeaked = cm.retiredBodies() + cm.retiredChainCount();
+    out.retiredLeaked = cm.retiredBodies();
 
     out.runs = size_t(knobs.threads) * knobs.iters + 1;
     out.mismatches = mismatches.load();

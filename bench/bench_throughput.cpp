@@ -1,8 +1,8 @@
 /**
  * @file
  * Execution throughput: instructions per second of the simulated
- * processor (direct-threaded handlers, chained trace-tier
- * superblocks, translation-time block IDs), with the always-on
+ * processor (direct-threaded handlers over chained bodies, built at
+ * install, with translation-time block IDs), with the always-on
  * profile exact and 1-in-32 sampled. Every configuration runs warm:
  * an adaptive first pass promotes the hot functions to -O2+traces,
  * then the timed runs execute from the same code cache with
@@ -42,7 +42,9 @@ struct Measured
     uint64_t value = 0;    ///< program checksum (divergence check)
     std::string output;    ///< captured output (divergence check)
     size_t promotions = 0;
-    size_t chained = 0;    ///< chained functions after the runs
+    /** Installed native bodies after the runs; every one is
+     *  chained, so this is also the count of chained bodies. */
+    size_t chained = 0;
 };
 
 /** Keep timing until both floors are met. */

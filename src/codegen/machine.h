@@ -9,7 +9,6 @@
 #ifndef LLVA_CODEGEN_MACHINE_H
 #define LLVA_CODEGEN_MACHINE_H
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -41,9 +40,9 @@ struct SimState;
 
 /**
  * Resolved execution semantics of one machine instruction: the
- * direct-threaded dispatch handler. The simulator caches the
- * target's handler on the instruction the first time it executes,
- * so steady-state dispatch is one indirect call — no virtual
+ * direct-threaded dispatch handler. A body's chained form
+ * (vm/chain.h) resolves every instruction's handler once, when the
+ * body is installed, so dispatch is one indirect call — no virtual
  * dispatch, no opcode switch.
  */
 using ExecFn = void (*)(const MachineInstr &, SimState &);
@@ -155,12 +154,6 @@ struct MachineInstr
     /** FP operations: true for float (4-byte), false for double. */
     bool fp32 = false;
     std::vector<MOperand> ops;
-    /** Lazily resolved dispatch handler (owned by the executing
-     *  target; never serialized). Atomic because concurrent
-     *  simulators may resolve the same instruction: handlerFor()
-     *  is deterministic per opcode, so racing stores write the
-     *  same value and relaxed ordering suffices. */
-    mutable std::atomic<ExecFn> exec{nullptr};
 
     MachineInstr(uint16_t opc, std::vector<MOperand> operands,
                  unsigned defs = 0)

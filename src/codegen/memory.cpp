@@ -178,28 +178,23 @@ Memory::serialize(ByteWriter &w) const
     constexpr uint64_t kPage = 4096;
     w.writeU64(size_);
     // Sparse image: only pages with live data. Typical checkpoints
-    // touch a few hundred KiB of a 64 MiB space.
-    uint64_t pages = 0;
+    // touch a few hundred KiB of a 64 MiB space, so one scan finds
+    // the live pages and the image is written from that list. A page
+    // is all zero when its first byte is and it equals itself
+    // shifted by one byte.
+    std::vector<uint64_t> live;
     for (uint64_t p = 0; p < size_; p += kPage) {
+        const uint8_t *b = bytes_.data() + p;
         uint64_t n = std::min(kPage, size_ - p);
-        bool zero = true;
-        for (uint64_t i = 0; i < n && zero; ++i)
-            zero = bytes_[p + i] == 0;
-        if (!zero)
-            ++pages;
+        if (b[0] || std::memcmp(b, b + 1, n - 1))
+            live.push_back(p);
     }
-    w.writeVaruint(pages);
-    for (uint64_t p = 0; p < size_; p += kPage) {
+    w.writeVaruint(live.size());
+    for (uint64_t p : live) {
         uint64_t n = std::min(kPage, size_ - p);
-        bool zero = true;
-        for (uint64_t i = 0; i < n && zero; ++i)
-            zero = bytes_[p + i] == 0;
-        if (zero)
-            continue;
         w.writeU64(p);
         w.writeVaruint(n);
-        for (uint64_t i = 0; i < n; ++i)
-            w.writeByte(bytes_[p + i]);
+        w.writeBytes(bytes_.data() + p, n);
     }
     w.writeU64(globalBrk_);
     w.writeU64(heapBase_);
@@ -233,10 +228,9 @@ Memory::restore(ByteReader &r, const Module &m)
     for (uint64_t i = 0; i < pages; ++i) {
         uint64_t p = r.readU64();
         uint64_t n = r.readVaruint();
-        if (p + n > size_)
+        if (n > size_ || p > size_ - n) // p + n may wrap
             return false;
-        for (uint64_t b = 0; b < n; ++b)
-            bytes_[p + b] = r.readByte();
+        r.readBytes(bytes_.data() + p, n);
     }
     globalBrk_ = r.readU64();
     heapBase_ = r.readU64();

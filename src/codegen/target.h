@@ -162,9 +162,10 @@ class Target
      * simulator set state.next = Fall before the call: every
      * consumer field (branchTarget, callTarget/callAddr, trapKind)
      * is written by the handler that requests the corresponding
-     * Next value, so stale values are never observed. The simulator
-     * caches the result on the instruction (cachedHandler,
-     * vm/chain.h).
+     * Next value, so stale values are never observed. A branch
+     * jumps to the instruction's first block operand, which the
+     * chained form resolves at install (vm/chain.h); that is also
+     * where each instruction's handler is resolved, once.
      */
     virtual ExecFn handlerFor(const MachineInstr &mi) const = 0;
 

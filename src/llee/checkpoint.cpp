@@ -99,8 +99,13 @@ restoreCheckpoint(const std::vector<uint8_t> &sealed,
             return Error("checkpoint execution state names "
                          "functions this module does not define");
 
+        // A sealed blob's lengths are still untrusted (its CRC is no
+        // MAC): check each against the bytes left before sizing a
+        // buffer by it.
         CheckpointRestoreStats stats;
         uint64_t plen = r.readVaruint();
+        if (plen > r.remaining())
+            return Error("checkpoint payload truncated");
         if (plen) {
             std::vector<uint8_t> pbytes(plen);
             r.readBytes(pbytes.data(), plen);
@@ -129,6 +134,8 @@ restoreCheckpoint(const std::vector<uint8_t> &sealed,
             std::string name = r.readString();
             uint8_t tier = r.readByte();
             uint64_t len = r.readVaruint();
+            if (len > r.remaining())
+                return Error("checkpoint payload truncated");
             std::vector<uint8_t> bytes(len);
             r.readBytes(bytes.data(), len);
 

@@ -8,109 +8,57 @@ namespace {
 
 Statistic NumSuperblockLinks(
     "vm.superblock_links",
-    "Superblock side exits and fallthroughs patched to successors");
+    "Block operands resolved to their chained blocks at install");
 
-Statistic NumSuperblockUnlinks(
-    "vm.superblock_unlinks",
-    "Chained functions unlinked on invalidate()/SMC retirement");
+/** The sentinel's handler: a translated body never falls off its
+ *  last block, so reaching it is a translator bug. */
+void
+fellOffTheEnd(const MachineInstr &, SimState &)
+{
+    panic("machine code fell off the end of its function");
+}
+
+const MachineInstr kSentinel(0, {});
 
 } // namespace
 
-ChainedFunction::ChainedFunction(const MachineFunction *mf,
-                                 Target &target)
-    : mf_(mf), target_(target), blocks_(mf->blocks().size())
-{}
-
-ChainedBlock *
-ChainedFunction::blockFor(MachineBasicBlock *mbb)
+ChainedFunction::ChainedFunction(std::unique_ptr<MachineFunction> mf,
+                                 const Target &target, uint8_t tier)
+    : mf_(std::move(mf)), tier_(tier)
 {
-    LLVA_ASSERT(mbb->parent() == mf_,
-                "chaining a block of another function");
-    // Executors read the slot lock-free; a non-null pointer was
-    // release-published after the block was fully built.
-    ChainedBlock *cb =
-        blocks_[mbb->index()].load(std::memory_order_acquire);
-    return cb ? cb : buildBlock(mbb);
-}
-
-ChainedBlock *
-ChainedFunction::buildBlock(MachineBasicBlock *mbb)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    ChainedBlock *cb =
-        blocks_[mbb->index()].load(std::memory_order_relaxed);
-    if (cb)
-        return cb; // lost the build race; reuse the winner
-    auto built = std::make_unique<ChainedBlock>();
-    built->mbb = mbb;
-    built->id = BlockId{mf_->nameHash(), mbb->nameHash()};
-    built->code.resize(mbb->instrs().size());
-    size_t i = 0;
-    for (const auto &mi : mbb->instrs()) {
-        ChainedInstr &ci = built->code[i++];
-        ci.mi = mi.get();
-        ci.fn = cachedHandler(target_, *mi);
+    const auto &mbbs = mf_->blocks();
+    size_t n = 1;
+    for (const auto &mbb : mbbs)
+        n += mbb->instrs().size();
+    // Blocks point into code_, and instructions into blocks_: size
+    // both up front so neither moves while it is built.
+    code_.reserve(n);
+    blocks_.resize(mbbs.size() + 1);
+    size_t links = 0;
+    for (const auto &mbb : mbbs) {
+        ChainedBlock &cb = blocks_[mbb->index()];
+        cb.id = BlockId{mf_->nameHash(), mbb->nameHash()};
+        cb.begin = code_.data() + code_.size();
+        for (const auto &mi : mbb->instrs()) {
+            const ChainedBlock *to = nullptr;
+            for (const MOperand &op : mi->ops) {
+                if (op.kind != MOperand::Block)
+                    continue;
+                LLVA_ASSERT(op.block->parent() == mf_.get(),
+                            "chaining a block of another function");
+                to = &blocks_[op.block->index()];
+                ++links;
+                break;
+            }
+            code_.push_back({mi.get(), target.handlerFor(*mi), to});
+        }
+        cb.end = code_.data() + code_.size();
     }
-    cb = built.get();
-    owned_.push_back(std::move(built));
-    blocks_[mbb->index()].store(cb, std::memory_order_release);
-    return cb;
-}
-
-ChainedBlock *
-ChainedFunction::entry()
-{
-    return blockFor(mf_->blocks().front().get());
-}
-
-ChainedBlock *
-ChainedFunction::linkFallthrough(ChainedBlock *cb)
-{
-    size_t next = cb->mbb->index() + 1;
-    LLVA_ASSERT(next < mf_->blocks().size(),
-                "machine function fell off the end (%s)",
-                mf_->name().c_str());
-    ChainedBlock *succ = blockFor(mf_->blocks()[next].get());
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!unlinked_.load(std::memory_order_relaxed)) {
-        if (!cb->fall.load(std::memory_order_relaxed))
-            links_.fetch_add(1, std::memory_order_relaxed);
-        cb->fall.store(succ, std::memory_order_release);
-        ++NumSuperblockLinks;
-    }
-    return succ;
-}
-
-ChainedBlock *
-ChainedFunction::linkBranch(ChainedInstr &ci,
-                            MachineBasicBlock *target)
-{
-    ChainedBlock *succ = blockFor(target);
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!unlinked_.load(std::memory_order_relaxed)) {
-        if (!ci.link.load(std::memory_order_relaxed))
-            links_.fetch_add(1, std::memory_order_relaxed);
-        ci.link.store(succ, std::memory_order_release);
-        ++NumSuperblockLinks;
-    }
-    return succ;
-}
-
-void
-ChainedFunction::unlink()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto &slot : blocks_) {
-        ChainedBlock *cb = slot.load(std::memory_order_relaxed);
-        if (!cb)
-            continue;
-        cb->fall.store(nullptr, std::memory_order_release);
-        for (ChainedInstr &ci : cb->code)
-            ci.link.store(nullptr, std::memory_order_release);
-    }
-    links_.store(0, std::memory_order_relaxed);
-    unlinked_.store(true, std::memory_order_release);
-    ++NumSuperblockUnlinks;
+    ChainedBlock &sentinel = blocks_.back();
+    sentinel.begin = code_.data() + code_.size();
+    code_.push_back({&kSentinel, fellOffTheEnd, nullptr});
+    sentinel.end = code_.data() + code_.size();
+    NumSuperblockLinks += links;
 }
 
 } // namespace llva

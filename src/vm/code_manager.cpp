@@ -1,5 +1,6 @@
 #include "vm/code_manager.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "analysis/analysis_manager.h"
@@ -34,15 +35,12 @@ Statistic NumTraceCacheHits(
     "already-known hot trace head");
 Statistic NumRetiredBodies(
     "vm.retired_bodies",
-    "Machine-function bodies retired by SMC invalidation, "
-    "reinstallation, or promotion");
-Statistic NumRetiredChains(
-    "vm.retired_chains",
-    "Superblock chains retired alongside their bodies");
+    "Machine-function bodies (with their chains) retired by SMC "
+    "invalidation, reinstallation, or promotion");
 Statistic NumRetiredReclaimed(
     "vm.retired_reclaimed",
-    "Retired bodies and chains freed once no epoch pin could still "
-    "reference them");
+    "Retired bodies freed once no epoch pin could still reference "
+    "them");
 Statistic NumLiveReplacements(
     "vm.live_replacements",
     "Function bodies swapped by replaceFunctionLive() while the "
@@ -50,8 +48,8 @@ Statistic NumLiveReplacements(
 
 } // namespace
 
-const MachineFunction *
-CodeManager::get(const Function *f)
+const ChainedFunction *
+CodeManager::chained(const Function *f)
 {
     {
         std::shared_lock<std::shared_mutex> lock(mu_);
@@ -70,7 +68,7 @@ CodeManager::get(const Function *f)
     return translateWithLadder(*const_cast<Function *>(f));
 }
 
-std::optional<const MachineFunction *>
+std::optional<const ChainedFunction *>
 CodeManager::entryLocked(const Function *f) const
 {
     auto it = cache_.find(f);
@@ -84,11 +82,13 @@ CodeManager::entryLocked(const Function *f) const
 uint8_t
 CodeManager::tierLocked(const Function *f) const
 {
-    auto it = tiers_.find(f);
-    return it != tiers_.end() ? it->second : opts_.optLevel;
+    auto it = cache_.find(f);
+    if (it != cache_.end())
+        return it->second->tier();
+    return pinnedLocked(f) ? kTierInterpreter : opts_.optLevel;
 }
 
-const MachineFunction *
+const ChainedFunction *
 CodeManager::translateWithLadder(Function &f)
 {
     unsigned level = opts_.optLevel;
@@ -238,11 +238,15 @@ CodeManager::installLocked(const Function *f,
                 "native body for '%s' installed at the interpreter tier",
                 f->name().c_str());
     // The executing activation keeps its (old) body; every future
-    // dispatch gets the new one.
+    // dispatch gets the new one, chained here once for its lifetime.
     retireLocked(f);
-    tiers_[f] = mf ? tier : kTierInterpreter;
-    if (mf)
-        cache_[f] = std::move(mf);
+    if (mf) {
+        pinned_.erase(f);
+        cache_[f] =
+            std::make_unique<ChainedFunction>(std::move(mf), target_, tier);
+    } else {
+        pinned_.insert(f);
+    }
     reclaimLocked();
 }
 
@@ -250,24 +254,14 @@ void
 CodeManager::retireLocked(const Function *f)
 {
     // Retire rather than destroy: the simulator may still be running
-    // the old body (raw MachineFunction pointers live in its call
+    // the old body (raw pointers into its chain live in its call
     // frames; SMC affects only *future* invocations, Section 3.4).
+    // Its links all stay inside it, so there is nothing to unlink.
     auto it = cache_.find(f);
     if (it == cache_.end())
         return;
-    auto chain = chains_.find(it->second.get());
-    if (chain != chains_.end()) {
-        // Sever every patched link before retiring: a still-running
-        // activation of the old body keeps a valid (block-at-a-time)
-        // chain, but no hot path can race through stale superblock
-        // links into a body the program just replaced.
-        chain->second->unlink();
-        ++chainsUnlinked_;
-        retiredChains_.push_back({std::move(chain->second), ++epoch_});
-        ++NumRetiredChains;
-        chains_.erase(chain);
-    }
     retired_.push_back({std::move(it->second), ++epoch_});
+    ++retiredTotal_;
     ++NumRetiredBodies;
     cache_.erase(it);
 }
@@ -278,25 +272,16 @@ CodeManager::reclaimLocked()
     // A pin taken at epoch P protects exactly the objects retired
     // after it (retirement epoch > P): pointers into anything
     // retired earlier were already unreachable when the pin was
-    // taken. An object is freed once no pin predates its
-    // retirement.
+    // taken. An entry is freed once no pin predates its retirement;
+    // the list is in retirement order, so those form a prefix.
     uint64_t minPin = pins_.empty() ? UINT64_MAX : *pins_.begin();
-    auto sweep = [&](auto &list) {
-        size_t kept = 0;
-        for (auto &entry : list) {
-            if (entry.epoch <= minPin) {
-                ++reclaimed_;
-                ++NumRetiredReclaimed;
-            } else {
-                if (kept != size_t(&entry - list.data()))
-                    list[kept] = std::move(entry);
-                ++kept;
-            }
-        }
-        list.resize(kept);
-    };
-    sweep(retired_);
-    sweep(retiredChains_);
+    auto freed = std::partition_point(
+        retired_.begin(), retired_.end(),
+        [&](const Retired &r) { return r.epoch <= minPin; });
+    size_t n = size_t(freed - retired_.begin());
+    retired_.erase(retired_.begin(), freed);
+    reclaimed_ += n;
+    NumRetiredReclaimed += n;
 }
 
 uint64_t
@@ -326,13 +311,6 @@ CodeManager::retiredBodies() const
 }
 
 size_t
-CodeManager::retiredChainCount() const
-{
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    return retiredChains_.size();
-}
-
-size_t
 CodeManager::reclaimedObjects() const
 {
     std::shared_lock<std::shared_mutex> lock(mu_);
@@ -344,7 +322,7 @@ CodeManager::invalidateLocked(const Function *f)
 {
     // A fresh translation may be re-promoted later.
     retireLocked(f);
-    tiers_.erase(f);
+    pinned_.erase(f);
     promoteAttempted_.erase(f);
     reclaimLocked();
 }
@@ -367,32 +345,15 @@ CodeManager::replaceFunctionLive(const Function *f)
     // unlocked read could mistake f for a declaration.
     if (f->isDeclaration())
         return nullptr;
-    // Drop the installed translation, its chain, and any
-    // interpreter pin, then walk the ladder again — all under one
-    // exclusive section, so no other thread ever observes the gap
-    // between the retirement and the fresh installation.
+    // Drop the installed entry and any interpreter pin, then walk
+    // the ladder again — all under one exclusive section, so no
+    // other thread ever observes the gap between the retirement and
+    // the fresh installation.
     invalidateLocked(f);
-    const MachineFunction *mf =
+    const ChainedFunction *c =
         translateWithLadder(*const_cast<Function *>(f));
     ++NumLiveReplacements;
-    return mf;
-}
-
-ChainedFunction *
-CodeManager::chainFor(const MachineFunction *mf)
-{
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    // Never chain a retired body: a concurrent replacement may have
-    // retired mf between the caller's liveness check and this call.
-    // Its chains_ entry was dropped with it, and inserting a new one
-    // here would outlive the body (dangling key after reclamation).
-    auto live = cache_.find(mf->source());
-    if (live == cache_.end() || live->second.get() != mf)
-        return nullptr;
-    auto &slot = chains_[mf];
-    if (!slot)
-        slot = std::make_unique<ChainedFunction>(mf, target_);
-    return slot.get();
+    return c ? c->function() : nullptr;
 }
 
 size_t
@@ -486,8 +447,9 @@ CodeManager::profileSnapshot() const
 bool
 CodeManager::promotableLocked(const Function *f) const
 {
-    return profile_ && !promoteAttempted_.count(f) && cache_.count(f) &&
-           tierLocked(f) != kTierTrace;
+    auto it = cache_.find(f);
+    return profile_ && it != cache_.end() &&
+           it->second->tier() != kTierTrace && !promoteAttempted_.count(f);
 }
 
 bool
@@ -548,8 +510,8 @@ CodeManager::totalMachineInstructions() const
 {
     std::shared_lock<std::shared_mutex> lock(mu_);
     size_t n = 0;
-    for (const auto &[f, mf] : cache_)
-        n += mf->instructionCount();
+    for (const auto &[f, c] : cache_)
+        n += c->function()->instructionCount();
     return n;
 }
 
@@ -558,8 +520,8 @@ CodeManager::totalEncodedBytes() const
 {
     std::shared_lock<std::shared_mutex> lock(mu_);
     size_t n = 0;
-    for (const auto &[f, mf] : cache_) {
-        n += encodeFunction(*mf, target_).size();
+    for (const auto &[f, c] : cache_) {
+        n += encodeFunction(*c->function(), target_).size();
         // Functions are 16-byte aligned in a linked executable.
         n = (n + 15) / 16 * 16;
     }
@@ -572,15 +534,10 @@ CodeManager::forEachCached(
                              const MachineFunction *)> &fn) const
 {
     std::shared_lock<std::shared_mutex> lock(mu_);
-    for (const auto &[f, mf] : cache_) {
-        auto tit = tiers_.find(f);
-        fn(f,
-           tit != tiers_.end() ? tit->second : opts_.optLevel,
-           mf.get());
-    }
-    for (const auto &[f, tier] : tiers_)
-        if (tier == kTierInterpreter)
-            fn(f, tier, nullptr);
+    for (const auto &[f, c] : cache_)
+        fn(f, c->tier(), c->function());
+    for (const Function *f : pinned_)
+        fn(f, kTierInterpreter, nullptr);
 }
 
 } // namespace llva

@@ -29,18 +29,21 @@
  * applies trace-driven layout before instruction selection. The new
  * body is installed through the same install path; the replaced one
  * is retired, not destroyed, because the simulator may still be
- * executing it (raw MachineFunction pointers live in its frames).
+ * executing it (raw pointers into it live in its frames).
  *
- * Epoch-based reclamation: retired bodies and chains used to
- * accumulate forever — a slow leak under repeated SMC replacement
- * or promotion. Every retirement now advances an epoch counter and
- * tags the retired object with it; every executing simulator pins
- * the epoch current at its entry (pinEpoch/unpinEpoch) for the
- * duration of its activation. A retired object is freed exactly
- * when no pin predates its retirement — i.e. no thread can still
- * hold a frame pointer into it. With no concurrent activations the
- * lists drain to empty on every retire, so single-threaded use is
- * leak-free too.
+ * One cache entry per function: a ChainedFunction (vm/chain.h)
+ * holds the native body, its chained form — built once, by the
+ * install step — and the tier it was installed at. Entries are
+ * installed, retired and reclaimed as a unit.
+ *
+ * Epoch-based reclamation: every retirement advances an epoch
+ * counter and tags the retired entry with it; every executing
+ * simulator pins the epoch current at its entry (pinEpoch/
+ * unpinEpoch) for the duration of its activation. A retired entry
+ * is freed exactly when no pin predates its retirement — i.e. no
+ * thread can still hold a frame pointer into it. With no concurrent
+ * activations the list drains to empty on every retire, so
+ * single-threaded use is leak-free too.
  *
  * Thread safety: all cache state is guarded by a shared_mutex
  * (readers: dispatch lookups; writers: translation, installation,
@@ -110,12 +113,20 @@ class CodeManager
     }
 
     /**
-     * Translation for \p f, translating now if needed — possibly at
-     * a degraded tier. Returns nullptr when \p f is pinned to the
-     * interpreter (every native tier failed): the caller must
-     * interpret it.
+     * The installed entry for \p f — its body and chained form —
+     * translating now if needed, possibly at a degraded tier.
+     * Returns nullptr when \p f is pinned to the interpreter (every
+     * native tier failed): the caller must interpret it.
      */
-    const MachineFunction *get(const Function *f);
+    const ChainedFunction *chained(const Function *f);
+
+    /** chained(\p f)'s body, or nullptr when \p f is pinned. */
+    const MachineFunction *
+    get(const Function *f)
+    {
+        const ChainedFunction *c = chained(f);
+        return c ? c->function() : nullptr;
+    }
 
     bool
     has(const Function *f) const
@@ -125,14 +136,13 @@ class CodeManager
     }
 
     /** The currently installed body of \p f, or nullptr — a pure
-     *  lookup that never triggers translation (the chaining code
-     *  uses it to tell a live body from a retired one). */
+     *  lookup that never triggers translation. */
     const MachineFunction *
     cached(const Function *f) const
     {
         std::shared_lock<std::shared_mutex> lock(mu_);
         auto it = cache_.find(f);
-        return it == cache_.end() ? nullptr : it->second.get();
+        return it == cache_.end() ? nullptr : it->second->function();
     }
 
     /** Drop a translation (SMC invalidation). */
@@ -207,23 +217,25 @@ class CodeManager
     // --- Epoch-based reclamation ------------------------------------------
 
     /**
-     * Pin the current epoch: retired bodies/chains whose retirement
+     * Pin the current epoch: retired entries whose retirement
      * postdates the pin stay alive until unpinEpoch(). Every
      * executing simulator holds a pin for its whole activation —
-     * its call frames hold raw MachineFunction pointers.
+     * its call frames hold raw pointers into chained bodies.
      */
     uint64_t pinEpoch();
 
     /** Release a pin and reclaim whatever became unreachable. */
     void unpinEpoch(uint64_t pin);
 
-    /** Retired bodies currently awaiting reclamation. */
+    /** Retired entries (bodies with their chains) currently
+     *  awaiting reclamation. */
     size_t retiredBodies() const;
 
-    /** Retired chains currently awaiting reclamation. */
-    size_t retiredChainCount() const;
+    /** The same count as retiredBodies(): a chain retires with its
+     *  body, in one entry. */
+    size_t retiredChainCount() const { return retiredBodies(); }
 
-    /** Total retired objects (bodies + chains) freed so far. */
+    /** Total retired entries freed so far. */
     size_t reclaimedObjects() const;
 
     /**
@@ -269,47 +281,17 @@ class CodeManager
     /** Copy of the attached master profile (empty if none). */
     EdgeProfile profileSnapshot() const;
 
-    // --- Superblock chaining ----------------------------------------------
-
-    /**
-     * The chained (direct-threaded, superblock-linked) form of a
-     * trace-tier body, built lazily on first use. Chains live here —
-     * not in the simulator — so invalidate()/SMC retirement can
-     * unlink them: a retired chain is severed (every patched side
-     * exit cleared) and kept alive, never re-linked, while any
-     * still-running activation of the old body falls back to
-     * block-at-a-time resolution inside it. Returns nullptr when
-     * \p mf is no longer the installed body of its source (lost a
-     * race with retirement) — never chain a retired body.
-     */
-    ChainedFunction *chainFor(const MachineFunction *mf);
-
-    /**
-     * The live chain of \p mf, or nullptr if none was built yet (or
-     * the body was retired). A non-null result proves the body is
-     * still the installed trace-tier translation of its source:
-     * every path that retires a body (invalidate, reinstall,
-     * promotion) drops its chain in the same step, so dispatch can
-     * re-derive its chaining state with this single lookup instead
-     * of the tier + cache + chain triple.
-     */
-    ChainedFunction *
-    findChain(const MachineFunction *mf) const
+    /** Installed native bodies; each is chained. */
+    size_t
+    chainedFunctions() const
     {
         std::shared_lock<std::shared_mutex> lock(mu_);
-        auto it = chains_.find(mf);
-        return it == chains_.end() ? nullptr : it->second.get();
+        return cache_.size();
     }
 
-    /** Live (non-retired) chained functions. */
-    size_t chainedFunctions() const
-    {
-        std::shared_lock<std::shared_mutex> lock(mu_);
-        return chains_.size();
-    }
-
-    /** Chains unlinked by invalidation/retirement so far. */
-    size_t chainsUnlinked() const { return chainsUnlinked_; }
+    /** Chains retired with their bodies so far (invalidation,
+     *  reinstallation, promotion). */
+    size_t chainsUnlinked() const { return retiredTotal_; }
 
     /** Trace-tier promotions installed. */
     size_t promotions() const { return promotions_; }
@@ -352,9 +334,9 @@ class CodeManager
     };
 
     /** Walk the ladder from opts_.optLevel down; installs the result
-     *  or pins \p f to the interpreter. Returns the translation
+     *  or pins \p f to the interpreter. Returns the installed entry
      *  (nullptr when pinned). Caller holds mu_ exclusively. */
-    const MachineFunction *translateWithLadder(Function &f);
+    const ChainedFunction *translateWithLadder(Function &f);
 
     /**
      * The one translation rung, for ladder level \p tier or, with
@@ -382,15 +364,15 @@ class CodeManager
     // The following helpers assume mu_ is held (shared suffices for
     // the const ones, exclusive for the rest).
 
-    /** \p f's body, nullptr for an interpreter pin, or nullopt when
+    /** \p f's entry, nullptr for an interpreter pin, or nullopt when
      *  \p f has neither. */
-    std::optional<const MachineFunction *>
+    std::optional<const ChainedFunction *>
     entryLocked(const Function *f) const;
     uint8_t tierLocked(const Function *f) const;
     bool
     pinnedLocked(const Function *f) const
     {
-        return tierLocked(f) == kTierInterpreter;
+        return pinned_.count(f) != 0;
     }
     /** maybePromote's eligibility, short of the watermark: a profile
      *  is attached, \p f has a native body below the trace tier, and
@@ -399,12 +381,12 @@ class CodeManager
 
     /** Add a successful rung's cost and statistics to the totals. */
     void countTranslation(const Translation &t);
-    /** The one install step: retire \p f's installed body and its
-     *  chain, install \p mf at \p tier (a null \p mf pins \p f to
+    /** The one install step: retire \p f's installed entry, chain
+     *  \p mf and install it at \p tier (a null \p mf pins \p f to
      *  the interpreter), and reclaim. */
     void installLocked(const Function *f,
                        std::unique_ptr<MachineFunction> mf, uint8_t tier);
-    /** Retire \p f's installed body and chain, if any. */
+    /** Retire \p f's installed entry, if any. */
     void retireLocked(const Function *f);
     void invalidateLocked(const Function *f);
     void reclaimLocked();
@@ -413,18 +395,17 @@ class CodeManager
     CodeGenOptions opts_;
     TranslationHooks hooks_;
     mutable std::shared_mutex mu_;
-    std::map<const Function *, std::unique_ptr<MachineFunction>>
+    std::map<const Function *, std::unique_ptr<ChainedFunction>>
         cache_;
-    std::map<const Function *, uint8_t> tiers_;
+    std::set<const Function *> pinned_; ///< interpreter-tier pins
     size_t tierDowngrades_ = 0;
     double seconds_ = 0;
     size_t translated_ = 0;
     CodeGenStats stats_;
 
     // Adaptive promotion state. Replaced translations are retired
-    // here (never destroyed mid-run): the simulator's call frames
-    // hold raw MachineFunction pointers into the old body. The
-    // TraceCache itself is scoped inside each promotion — it indexes
+    // (never destroyed mid-run): the simulator's call frames hold
+    // raw pointers into the old body. The TraceCache itself is scoped inside each promotion — it indexes
     // BasicBlock pointers of the *optimized* body, which die when
     // the snapshot is restored; only stable head IDs persist here.
     mutable std::mutex profileMu_; ///< guards *profile_ contents
@@ -434,26 +415,19 @@ class CodeManager
     std::set<BlockId> traceHeads_;
     std::set<const Function *> promoteAttempted_;
 
-    // Epoch-tagged retirement lists (see file comment).
-    struct RetiredBody
+    // The epoch-tagged retired list (see file comment), in
+    // retirement order.
+    struct Retired
     {
-        std::unique_ptr<MachineFunction> mf;
-        uint64_t epoch;
-    };
-    struct RetiredChain
-    {
-        std::unique_ptr<ChainedFunction> chain;
+        std::unique_ptr<ChainedFunction> entry;
         uint64_t epoch;
     };
     uint64_t epoch_ = 0;
     std::multiset<uint64_t> pins_;
-    std::vector<RetiredBody> retired_;
-    std::vector<RetiredChain> retiredChains_;
+    std::vector<Retired> retired_;
+    size_t retiredTotal_ = 0;
     size_t reclaimed_ = 0;
 
-    std::map<const MachineFunction *, std::unique_ptr<ChainedFunction>>
-        chains_;
-    size_t chainsUnlinked_ = 0;
     size_t promotions_ = 0;
     size_t promotionFailures_ = 0;
     double lastCoverage_ = 0;

@@ -12,7 +12,7 @@ Statistic NumProfileSamples(
 
 Statistic NumPauses(
     "vm.pauses",
-    "Cooperative pauses taken at a dispatch boundary");
+    "Cooperative pauses taken at a body entry or block transition");
 
 /** An invoke-style call site: a call with explicit handler blocks. */
 bool
@@ -41,18 +41,8 @@ invokeBlockOperand(const MachineInstr &mi, unsigned which)
     panic("invoke site lacks handler blocks");
 }
 
-/** Stable profile ID of a machine block. Machine block names mirror
- *  the source blocks' names, so these are the same IDs the trace
- *  formation resolves on the IR; the hashes are cached at
- *  translation time. */
-BlockId
-idOf(const MachineFunction *mf, const MachineBasicBlock *bb)
-{
-    return BlockId{mf->nameHash(), bb->nameHash()};
-}
-
 /** The slow half of a profile sample, kept out of line so that
- *  inlining Meter::note() leaves the loops' meter in registers. */
+ *  inlining Meter::note() leaves the loop's meter in registers. */
 void
 recordSample(EdgeProfile *profile, BlockId from, BlockId to,
              uint64_t weight)
@@ -172,32 +162,30 @@ MachineSimulator::start(const Function *f,
     a.state.sp = ctx_.memory().stackTop() - 4096; // synthetic caller
     code_.target().writeArgs(a.state, f->functionType(), args);
 
-    a.mf = code_.get(f);
-    if (!a.mf) {
+    a.chain = code_.chained(f);
+    if (!a.chain) {
         // The entry function itself is pinned to the interpreter
         // tier; run it there with the default stack base.
         ExecResult r = interpretFallback(f, args, 0, 0);
         r.instructionsExecuted = meter_.executed;
         return r;
     }
-    a.block = a.mf->blocks().front().get();
+    a.block = a.chain->entry();
     noteEntry(a);
     return drive(a);
 }
 
 /**
- * The activation loop: run the current body — chained while it is
- * the live trace-tier translation, stepped otherwise — up to its
- * next call, return, unwind or trap, and let the frame core act on
- * that; or park the activation when a pause lands.
+ * The activation loop: run the current body up to its next call,
+ * return, unwind or trap, and let the frame core act on that; or
+ * park the activation when a pause lands.
  */
 ExecResult
 MachineSimulator::drive(Activation &a)
 {
     ExecResult r;
     for (bool running = true; running;) {
-        ChainedFunction *chain = liveChain(a.mf);
-        if (!(chain ? runChained(a, *chain) : step(a))) {
+        if (!runChained(a)) {
             // Park at the saved position; the epoch pin goes along.
             pauseFlag_.store(false, std::memory_order_relaxed);
             pauseAt_.store(0, std::memory_order_relaxed);
@@ -216,7 +204,7 @@ MachineSimulator::drive(Activation &a)
           case SimState::Next::Unwind:
             running = unwind(a, r);
             break;
-          default: // Trap: the loops consume Fall and Branch
+          default: // Trap: the block loop consumes Fall and Branch
             r.trap = a.state.trapKind;
             running = false;
         }
@@ -226,142 +214,60 @@ MachineSimulator::drive(Activation &a)
 }
 
 /**
- * The live chain of \p mf, or nullptr to step it unchained. drive()
- * re-derives it after every control transfer, since each may
- * have changed the current function (call, return, unwind) or
- * retired its body (SMC invalidation, promotion). Only the *live*
- * body of a trace-tier function chains: a retired body keeps
- * executing, unchained, until its activation ends.
- */
-ChainedFunction *
-MachineSimulator::liveChain(const MachineFunction *mf)
-{
-    // Fast path for the steady state: one lookup resolves an
-    // already-built live chain. The tier + installed-body checks
-    // only run when that misses, to decide first-time chain
-    // creation.
-    if (ChainedFunction *chain = code_.findChain(mf))
-        return chain;
-    if (code_.tierOf(mf->source()) != kTierTrace ||
-        code_.cached(mf->source()) != mf)
-        return nullptr;
-    // chainFor() re-validates liveness under the exclusive lock and
-    // refuses to chain a body retired since the checks above (lost
-    // race with a concurrent replacement): keep executing it
-    // unchained.
-    return code_.chainFor(mf);
-}
-
-/**
- * The unchained block stepper: execute the current body one
- * instruction at a time, following fallthroughs and branches (which
- * stay inside the function), until a call, return, unwind or trap
- * (true) or a pause (false). Every instruction is a pause point.
+ * The block loop: walk the current body over its chained form —
+ * resolved handlers, transitions through resolved links, no map
+ * lookups, no hashing — until a call, return, unwind or trap (true)
+ * or a pause (false). Entry and every block transition are the pause
+ * points, where the resume position is exactly (block, index). The
+ * chain never changes after its build, so the walk stays in
+ * registers; the position is synced back on exit. A body installed
+ * below the trace tier checks for promotion on every branch: branches
+ * carry the loop back-edges, so this is where its sample count can
+ * cross the watermark. The running activation keeps its body (the
+ * replaced entry is retired, not destroyed).
  */
 bool
-MachineSimulator::step(Activation &a)
-{
-    const Target &target = code_.target();
-    const MachineFunction *mf = a.mf;
-    MachineBasicBlock *block = a.block;
-    size_t index = a.index;
-    Meter m = meter_;
-    bool event = false;
-    while (!pauseDue(m.executed)) {
-        if (index >= block->instrs().size()) {
-            // Elided fallthrough jump: continue with the next block
-            // in layout order.
-            size_t next = block->index() + 1;
-            LLVA_ASSERT(next < mf->blocks().size(),
-                        "machine function fell off the end (%s)",
-                        mf->name().c_str());
-            MachineBasicBlock *to = mf->blocks()[next].get();
-            m.note(idOf(mf, block), idOf(mf, to));
-            block = to;
-            index = 0;
-            continue;
-        }
-        const MachineInstr &mi = *block->instrs()[index];
-        if (!m.tick())
-            budgetExceeded(m);
-        // Only next is re-armed: handlers write every consumer field
-        // of the Next value they request.
-        a.state.next = SimState::Next::Fall;
-        cachedHandler(target, mi)(mi, a.state);
-        if (a.state.next == SimState::Next::Fall) {
-            ++index;
-            continue;
-        }
-        if (a.state.next != SimState::Next::Branch) {
-            event = true;
-            break;
-        }
-        m.note(idOf(mf, block), idOf(mf, a.state.branchTarget));
-        block = a.state.branchTarget;
-        index = 0;
-        // Branches carry the loop back-edges, so this is where a
-        // function's sample count can cross the watermark; the
-        // running activation keeps its body (the replaced
-        // translation is retired, not destroyed).
-        if (m.profile)
-            code_.maybePromote(mf->source());
-    }
-    a.block = block;
-    a.index = index;
-    meter_ = m;
-    return event;
-}
-
-/**
- * The chained superblock loop: walk the live trace-tier body over
- * its flattened blocks — cached handlers, transitions through
- * patched links, no map lookups, no hashing — until a call, return,
- * unwind or trap side exit (true) or a pause (false). Entry and
- * every block transition are the pause points, where the resume
- * position is exactly (block, index). Chained blocks are
- * pointer-stable and their code arrays never resize after build, so
- * the walk stays in registers; the position is synced back on exit.
- */
-bool
-MachineSimulator::runChained(Activation &a, ChainedFunction &chain)
+MachineSimulator::runChained(Activation &a)
 {
     Meter m = meter_;
-    ChainedBlock *cb = chain.blockFor(a.block);
-    ChainedInstr *ip = cb->code.data() + a.index;
+    const ChainedBlock *cb = a.block;
+    const ChainedInstr *ip = cb->begin + a.index;
+    const Function *promotable =
+        m.profile && a.chain->tier() != kTierTrace
+            ? a.chain->function()->source()
+            : nullptr;
     bool event = false;
     while (!pauseDue(m.executed)) {
-        const ChainedInstr *end = cb->code.data() + cb->code.size();
+        const ChainedInstr *end = cb->end;
         while (ip != end) {
             if (!m.tick())
                 budgetExceeded(m);
+            // Only next is re-armed: handlers write every consumer
+            // field of the Next value they request.
             a.state.next = SimState::Next::Fall;
             ip->fn(*ip->mi, a.state);
             if (a.state.next != SimState::Next::Fall)
                 break;
             ++ip;
         }
-        ChainedBlock *next;
-        if (ip == end) {
-            // Links are release-published; a null read just takes
-            // the slow (patching) path.
-            next = cb->fall.load(std::memory_order_acquire);
-            if (!next)
-                next = chain.linkFallthrough(cb);
-        } else if (a.state.next == SimState::Next::Branch) {
-            MachineBasicBlock *target = a.state.branchTarget;
-            next = ip->link.load(std::memory_order_acquire);
-            if (!next || next->mbb != target)
-                next = chain.linkBranch(*ip, target);
-        } else {
-            event = true;
-            break;
+        // Elided fallthrough jump: the next block in layout order.
+        const ChainedBlock *next = cb + 1;
+        const bool branch = ip != end;
+        if (branch) {
+            if (a.state.next != SimState::Next::Branch) {
+                event = true;
+                break;
+            }
+            next = ip->target;
         }
         m.note(cb->id, next->id);
         cb = next;
-        ip = cb->code.data();
+        ip = cb->begin;
+        if (branch && promotable)
+            code_.maybePromote(promotable);
     }
-    a.block = cb->mbb;
-    a.index = size_t(ip - cb->code.data());
+    a.block = cb;
+    a.index = size_t(ip - cb->begin);
     meter_ = m;
     return event;
 }
@@ -373,18 +279,19 @@ MachineSimulator::runChained(Activation &a, ChainedFunction &chain)
 void
 MachineSimulator::noteEntry(const Activation &a)
 {
-    meter_.note(BlockId{}, idOf(a.mf, a.block));
+    meter_.note(BlockId{}, a.block->id);
 }
 
 /** Continue after the call at (\p block, \p index) returned: at an
- *  invoke site's normal destination, else at the next instruction. */
+ *  invoke site's normal destination (its first block operand), else
+ *  at the next instruction. */
 void
-MachineSimulator::returnTo(Activation &a, MachineBasicBlock *block,
+MachineSimulator::returnTo(Activation &a, const ChainedBlock *block,
                            size_t index)
 {
-    const MachineInstr &site = *block->instrs()[index];
-    if (isInvokeSite(site)) {
-        a.block = invokeBlockOperand(site, 0);
+    const ChainedInstr &site = block->begin[index];
+    if (isInvokeSite(*site.mi)) {
+        a.block = site.target;
         a.index = 0;
         noteEntry(a);
     } else {
@@ -428,10 +335,10 @@ MachineSimulator::call(Activation &a, ExecResult &r)
             r.trap = TrapKind::StackOverflow;
             return false;
         }
-        if (const MachineFunction *cmf = code_.get(callee)) {
-            a.frames.push_back({a.mf, a.block, a.index, st.sp});
-            a.mf = cmf;
-            a.block = cmf->blocks().front().get();
+        if (const ChainedFunction *cc = code_.chained(callee)) {
+            a.frames.push_back({a.chain, a.block, a.index, st.sp});
+            a.chain = cc;
+            a.block = cc->entry();
             a.index = 0;
             noteEntry(a);
             return true;
@@ -464,7 +371,7 @@ MachineSimulator::ret(Activation &a, ExecResult &r)
     }
     Frame fr = a.frames.back();
     a.frames.pop_back();
-    a.mf = fr.mf;
+    a.chain = fr.chain;
     returnTo(a, fr.block, fr.index);
     return true;
 }
@@ -477,11 +384,11 @@ MachineSimulator::unwind(Activation &a, ExecResult &r)
     while (!a.frames.empty()) {
         Frame fr = a.frames.back();
         a.frames.pop_back();
-        const MachineInstr &site = *fr.block->instrs()[fr.index];
+        const MachineInstr &site = *fr.block->begin[fr.index].mi;
         if (isInvokeSite(site)) {
-            a.mf = fr.mf;
+            a.chain = fr.chain;
             a.state.sp = fr.spAtCall;
-            a.block = invokeBlockOperand(site, 1);
+            a.block = fr.chain->block(invokeBlockOperand(site, 1));
             a.index = 0;
             noteEntry(a);
             return true;
@@ -518,18 +425,19 @@ MachineSimulator::serializeSuspended(ByteWriter &w) const
     // plus the shape of what they index into: restore retranslates
     // and must prove the regenerated body has the recorded shape
     // before trusting raw indices into it.
-    auto writePos = [&](const MachineFunction *mf,
-                        const MachineBasicBlock *bb, size_t idx) {
+    auto writePos = [&](const ChainedFunction *chain,
+                        const ChainedBlock *cb, size_t idx) {
+        const MachineFunction *mf = chain->function();
         w.writeString(mf->name());
         w.writeVaruint(mf->blocks().size());
-        w.writeVaruint(bb->index());
-        w.writeVaruint(bb->instrs().size());
+        w.writeVaruint(size_t(cb - chain->entry()));
+        w.writeVaruint(size_t(cb->end - cb->begin));
         w.writeVaruint(idx);
     };
-    writePos(s.mf, s.block, s.index);
+    writePos(s.chain, s.block, s.index);
     w.writeVaruint(s.frames.size());
     for (const Frame &fr : s.frames) {
-        writePos(fr.mf, fr.block, fr.index);
+        writePos(fr.chain, fr.block, fr.index);
         w.writeU64(fr.spAtCall);
     }
 }
@@ -564,8 +472,8 @@ MachineSimulator::restoreSuspended(ByteReader &r)
     // leaves the reader positioned at the next record. A call-site
     // index must name a real instruction; the resume position may
     // sit one past the block's end (pending fallthrough).
-    auto readPos = [&](const MachineFunction *&mf,
-                       MachineBasicBlock *&bb, size_t &idx,
+    auto readPos = [&](const ChainedFunction *&chain,
+                       const ChainedBlock *&cb, size_t &idx,
                        bool callSite) -> bool {
         std::string name = r.readString();
         uint64_t nBlocks = r.readVaruint();
@@ -575,30 +483,31 @@ MachineSimulator::restoreSuspended(ByteReader &r)
         const Function *fn = ctx_.module().getFunction(name);
         if (!fn || fn->isDeclaration())
             return false;
-        const MachineFunction *m = code_.get(fn);
-        if (!m)
+        const ChainedFunction *c = code_.chained(fn);
+        if (!c)
             return false;
-        if (m->blocks().size() != nBlocks || blockIdx >= nBlocks)
+        if (c->function()->blocks().size() != nBlocks ||
+            blockIdx >= nBlocks)
             return false;
-        MachineBasicBlock *b = m->blocks()[blockIdx].get();
-        if (b->instrs().size() != nInstrs)
+        const ChainedBlock *b = c->entry() + blockIdx;
+        if (uint64_t(b->end - b->begin) != nInstrs)
             return false;
         if (callSite ? instrIdx >= nInstrs : instrIdx > nInstrs)
             return false;
-        mf = m;
-        bb = b;
+        chain = c;
+        cb = b;
         idx = static_cast<size_t>(instrIdx);
         return true;
     };
 
     bool ok = s.entry != nullptr && !s.entry->isDeclaration();
-    ok = readPos(s.mf, s.block, s.index, false) && ok;
+    ok = readPos(s.chain, s.block, s.index, false) && ok;
     uint64_t nframes = r.readVaruint();
     if (nframes > kMaxCallDepth)
         return false;
     s.frames.resize(static_cast<size_t>(nframes));
     for (Frame &fr : s.frames) {
-        ok = readPos(fr.mf, fr.block, fr.index, true) && ok;
+        ok = readPos(fr.chain, fr.block, fr.index, true) && ok;
         fr.spAtCall = r.readU64();
     }
     if (!ok)

@@ -7,13 +7,18 @@
  * paper Section 5.2, with the hardware replaced by a functional
  * simulator so translated code actually runs and can be verified.
  *
+ * One block loop runs every native body, on its chained form
+ * (vm/chain.h): a call looks the callee's entry up once, a return
+ * looks nothing up, and a body retired under a running activation
+ * keeps running on its own chain.
+ *
  * Live-update support: every activation pins the CodeManager's
  * reclamation epoch for its duration (its call frames hold raw
- * MachineFunction pointers into bodies that a concurrent SMC
- * replacement may retire). Execution can also be paused
- * cooperatively — at an instruction-count watermark (setPauseAt) or
- * on request from another thread (requestPause) — which suspends
- * the activation at a block boundary; the suspended state is
+ * pointers into chained bodies that a concurrent SMC replacement may
+ * retire). Execution can also be paused cooperatively — at an
+ * instruction-count watermark (setPauseAt) or on request from
+ * another thread (requestPause) — which suspends the activation at
+ * its entry or at a block transition; the suspended state is
  * resumable in-process (resume()) or serializable into a VM
  * checkpoint (serializeSuspended/restoreSuspended).
  */
@@ -87,11 +92,12 @@ class MachineSimulator
     /**
      * Arm a pause once the cumulative executed-instruction count
      * reaches \p n (absolute, against instructionsExecuted(); 0
-     * disarms). The pause lands at the next dispatch boundary —
-     * run() then returns with ExecResult::paused set and the
-     * activation saved for resume(). Instructions interpreted via
-     * tier fallback are not pause points (the interpreter runs its
-     * call to completion).
+     * disarms). The pause lands at the next pause point — the entry
+     * of a body after a call, return or unwind, or a block
+     * transition — and run() then returns with ExecResult::paused
+     * set and the activation saved for resume(). Instructions
+     * interpreted via tier fallback are not pause points (the
+     * interpreter runs its call to completion).
      */
     void
     setPauseAt(uint64_t n)
@@ -137,13 +143,12 @@ class MachineSimulator
     static constexpr uint64_t kUnlimited = ~uint64_t(0);
 
     /**
-     * The per-instruction bookkeeping both execution loops share:
-     * the instruction count, its budget and the profile-sample
-     * countdown. A loop copies it into a local for its whole run —
-     * the indirect handler call clobbers memory, so a member would
-     * be reloaded and stored on every instruction, while a local
-     * stays in callee-saved registers — and stores it back on every
-     * exit.
+     * The per-instruction bookkeeping: the instruction count, its
+     * budget and the profile-sample countdown. The block loop copies
+     * it into a local for its whole run — the indirect handler call
+     * clobbers memory, so a member would be reloaded and stored on
+     * every instruction, while a local stays in callee-saved
+     * registers — and stores it back on every exit.
      */
     struct Meter
     {
@@ -171,8 +176,8 @@ class MachineSimulator
 
     struct Frame
     {
-        const MachineFunction *mf = nullptr;
-        MachineBasicBlock *block = nullptr;
+        const ChainedFunction *chain = nullptr;
+        const ChainedBlock *block = nullptr;
         size_t index = 0;      ///< instruction index of the call site
         uint64_t spAtCall = 0; ///< sp when the call was made
     };
@@ -180,11 +185,11 @@ class MachineSimulator
     /**
      * One activation of run(): the entry function, the architectural
      * state, the call frames and the position about to execute
-     * (block->instrs()[index]; index == size is a pending
-     * fallthrough). It pins the reclamation epoch for its whole
-     * life — the frames hold raw MachineFunction pointers that a
-     * concurrent replaceFunctionLive()/promotion may retire — so a
-     * paused activation carries its pin with it.
+     * (block->begin[index]; index == size is a pending fallthrough).
+     * It pins the reclamation epoch for its whole life — the frames
+     * hold raw pointers into chained bodies that a concurrent
+     * replaceFunctionLive()/promotion may retire — so a paused
+     * activation carries its pin with it.
      */
     struct Activation
     {
@@ -196,30 +201,28 @@ class MachineSimulator
         const Function *entry = nullptr;
         SimState state;
         std::vector<Frame> frames;
-        const MachineFunction *mf = nullptr;
-        MachineBasicBlock *block = nullptr;
+        const ChainedFunction *chain = nullptr;
+        const ChainedBlock *block = nullptr;
         size_t index = 0;
     };
 
-    // One activation loop (start/resume -> drive) over its three
-    // parts: the unchained block stepper, the chained superblock
-    // loop, and the frame core (call/ret/unwind). See machine_sim.cpp.
+    // One activation loop (start/resume -> drive) over its two
+    // parts: the block loop and the frame core (call/ret/unwind).
+    // See machine_sim.cpp.
     ExecResult start(const Function *f,
                      const std::vector<RtValue> &args);
     ExecResult drive(Activation &a);
     ExecResult deliverTrap(ExecResult result);
-    ChainedFunction *liveChain(const MachineFunction *mf);
-    bool step(Activation &a);
-    bool runChained(Activation &a, ChainedFunction &chain);
+    bool runChained(Activation &a);
     bool call(Activation &a, ExecResult &r);
     bool ret(Activation &a, ExecResult &r);
     bool unwind(Activation &a, ExecResult &r);
-    void returnTo(Activation &a, MachineBasicBlock *block,
+    void returnTo(Activation &a, const ChainedBlock *block,
                   size_t index);
     void noteEntry(const Activation &a);
 
     bool pauseDue(uint64_t executed) const;
-    /** Syncs \p m back (by value: the loops' meter never escapes),
+    /** Syncs \p m back (by value: the loop's meter never escapes),
      *  then fails the run. */
     [[noreturn]] void budgetExceeded(Meter m);
 

@@ -310,12 +310,12 @@ TEST(Adaptive, FaultingTraceTierKeepsExistingTranslation)
 TEST(Adaptive, SimulatorProfileMatchesInterpreterOnHotBlocks)
 {
     // The machine simulator profiles *translated* code, but stable
-    // IDs resolve to the same names the interpreter sees, so both of
-    // its loops must count exactly what the interpreter counts on the
-    // same IR: the block stepper on an -O0 body (whose machine CFG
-    // mirrors the IR CFG), and the chained loop on a warm run — main
-    // promoted by the first run, its trace-tier body chained from the
-    // first instruction — against the IR translation ran -O2 over.
+    // IDs resolve to the same names the interpreter sees, so its
+    // block loop must count exactly what the interpreter counts on
+    // the same IR: on an -O0 body (whose machine CFG mirrors the IR
+    // CFG), and on a warm run — main promoted by the first run, its
+    // trace-tier body run from the first instruction — against the
+    // IR translation ran -O2 over.
     auto expectInterpreterCounts = [](Module &m, const EdgeProfile &sim,
                                       const std::string &what) {
         Function *f = m.getFunction("main");

@@ -14,6 +14,7 @@
 
 #include "bytecode/bytecode.h"
 #include "llee/checkpoint.h"
+#include "llee/envelope.h"
 #include "parser/parser.h"
 #include "support/hashing.h"
 #include "trace/profile.h"
@@ -328,6 +329,61 @@ TEST(Checkpoint, DamagedOrMismatchedBlobsAreRejected)
     EXPECT_FALSE(
         restoreCheckpoint(truncated, hash, ctx2, cm2, nullptr).ok());
     EXPECT_FALSE(restoreCheckpoint({}, hash, ctx2, cm2, nullptr).ok());
+}
+
+TEST(Checkpoint, OversizedLengthsAreErrors)
+{
+    // A validly sealed blob can still lie about its lengths: CRC32 is
+    // no MAC. A profile or a code entry that claims 2^60 bytes must be
+    // an error result, not a 2^60-byte allocation.
+    auto m = parseAssembly(kPhases).orDie();
+    verifyOrDie(*m);
+    uint64_t hash = hashOf(*m);
+    const char magic[4] = {'L', 'V', 'C', 'K'};
+    const uint64_t huge = uint64_t(1) << 60;
+
+    for (bool inProfile : {true, false}) {
+        ExecutionContext ctx(*m);
+        ByteWriter w;
+        w.writeU64(hash);
+        w.writeString("x86");
+        w.writeByte(0);
+        ctx.serialize(w);
+        if (inProfile) {
+            w.writeVaruint(huge);
+        } else {
+            w.writeVaruint(0); // no profile
+            w.writeVaruint(1); // one code entry
+            w.writeString("init");
+            w.writeByte(0);
+            w.writeVaruint(huge);
+        }
+        auto blob = sealBlob(magic, kCheckpointVersion, w.takeBytes());
+
+        CodeManager cm(*getTarget("x86"));
+        auto st = restoreCheckpoint(blob, hash, ctx, cm, nullptr);
+        ASSERT_FALSE(st.ok()) << (inProfile ? "profile" : "code entry");
+        EXPECT_NE(st.error().message().find("truncated"),
+                  std::string::npos);
+    }
+}
+
+TEST(Checkpoint, MemoryRestoreRejectsAWrappingPageRecord)
+{
+    // p + n wraps past 2^64 to a small in-bounds value: the bounds
+    // check must still reject the record instead of writing 8 KiB
+    // at p.
+    auto m = parseAssembly(kPhases).orDie();
+    Memory mem;
+    ByteWriter w;
+    w.writeU64(mem.size());
+    w.writeVaruint(1);
+    w.writeU64(~uint64_t(0) - 4095); // 2^64 - 4096
+    w.writeVaruint(8192);
+    const std::vector<uint8_t> page(8192, 0xab);
+    w.writeBytes(page.data(), page.size());
+    ByteReader r(w.bytes());
+    EXPECT_FALSE(mem.restore(r, *m));
 }
 
 TEST(Checkpoint, SuspendedActivationRoundTrips)

@@ -1,13 +1,13 @@
 /**
  * @file
- * Simulator dispatch and superblock chaining tests: runs of every
- * workload on every target — unchained at every static tier, and
- * warm and chained at the trace tier — must match the reference
- * interpreter (with exact and sampled profiling, and when paused
- * and resumed at arbitrary points), chains must link lazily and
- * unlink on invalidate()/SMC retirement, sampled profiling must
- * estimate exact counts, and trap-handler outcomes and exact
- * instruction budgets get regression coverage.
+ * Simulator dispatch and chaining tests: runs of every workload on
+ * every target — at every static tier, and warm at the trace tier,
+ * all on the one block loop over chained bodies — must match the
+ * reference interpreter (with exact and sampled profiling, and when
+ * paused and resumed at arbitrary points), a chain must be built at
+ * install and retire and be reclaimed with its body, sampled
+ * profiling must estimate exact counts, and trap-handler outcomes
+ * and exact instruction budgets get regression coverage.
  */
 
 #include <gtest/gtest.h>
@@ -29,8 +29,7 @@ namespace {
 
 // A helper with a hot inner loop, called repeatedly so that the
 // *promoted* body actually gets re-entered (a function promoted
-// mid-activation keeps its old body until the next call — only the
-// live trace-tier body chains).
+// mid-activation keeps its old body until the next call).
 const char *kHotCalls = R"(
 declare void %llva.smc.replace.function(ubyte* %t, ubyte* %r)
 internal int %work(int %n) {
@@ -145,8 +144,8 @@ TEST_P(DispatchSuite, ThreadedMatchesSwitchAtEveryTier)
 {
     // The name dates from when a second, switch-based engine was the
     // comparison; the simulator now has one engine, and the reference
-    // interpreter is the independent answer. At every static tier
-    // nothing chains, so this covers the unchained block stepper:
+    // interpreter is the independent answer. Every static tier's
+    // bodies are chained at install and run on the one block loop:
     // it must match the interpreter, and pausing it every K
     // instructions must not change what executes — the same answer
     // in exactly as many instructions as the uninterrupted run.
@@ -172,7 +171,7 @@ TEST_P(DispatchSuite, ThreadedMatchesSwitchAtEveryTier)
                     << target << " -O" << int(level);
                 total = sim.instructionsExecuted();
             }
-            EXPECT_EQ(cm.chainedFunctions(), 0u)
+            EXPECT_GE(cm.chainedFunctions(), 1u)
                 << target << " -O" << int(level);
 
             const uint64_t k = total / 20 + 1;
@@ -221,11 +220,10 @@ TEST_P(DispatchSuite, WarmChainedRunMatchesInterpreter)
 
 TEST_P(DispatchSuite, PausedWarmRunMatchesInterpreter)
 {
-    // Pausing parks the activation at a dispatch boundary — any
-    // instruction of an unchained body, any block transition of a
-    // chained one — and resume() must continue it exactly: the same
-    // answer, and not one instruction more or less than the same
-    // warm run left alone.
+    // Pausing parks the activation at a pause point — a body's entry
+    // or a block transition — and resume() must continue it exactly:
+    // the same answer, and not one instruction more or less than the
+    // same warm run left alone.
     const Oracle want = interpret(GetParam());
     for (const std::string &target : targetNames()) {
         uint64_t total = 0;
@@ -278,7 +276,7 @@ INSTANTIATE_TEST_SUITE_P(
         return s;
     });
 
-// --- Superblock chaining protocol ------------------------------------
+// --- Chains retire with their bodies ---------------------------------
 
 TEST(Chaining, TraceTierBodyChainsAndUnlinksOnInvalidate)
 {
@@ -295,34 +293,33 @@ TEST(Chaining, TraceTierBodyChainsAndUnlinksOnInvalidate)
 
     auto r = sim.run(m->getFunction("main"));
     ASSERT_TRUE(r.ok());
-    // work crossed the watermark, was promoted, and its re-entered
-    // trace-tier body executed chained.
+    // work crossed the watermark, was promoted, and its trace-tier
+    // body was chained when it was installed.
     ASSERT_EQ(cm.tierOf(work), kTierTrace);
-    ASSERT_GE(cm.chainedFunctions(), 1u);
-    EXPECT_EQ(cm.chainsUnlinked(), 0u);
+    const size_t chained = cm.chainedFunctions();
+    ASSERT_GE(chained, 1u);
+    const size_t retired = cm.chainsUnlinked();
+    const size_t reclaimed = cm.reclaimedObjects();
 
-    // The epoch pin keeps the chain alive across invalidate(), which
-    // would otherwise reclaim it before the checks below read it.
+    // SMC invalidation retires the chain with its body, in one
+    // entry; the epoch pin holds that entry until the unpin
+    // reclaims it.
     const uint64_t pin = cm.pinEpoch();
-    ChainedFunction *chain = cm.chainFor(cm.cached(work));
-    EXPECT_GT(chain->linkCount(), 0u);
-    EXPECT_FALSE(chain->unlinked());
-
-    // SMC invalidation severs every patched link, permanently.
     cm.invalidate(work);
-    EXPECT_TRUE(chain->unlinked());
-    EXPECT_EQ(chain->linkCount(), 0u);
-    EXPECT_EQ(cm.chainsUnlinked(), 1u);
-    EXPECT_EQ(cm.chainedFunctions(), 0u);
+    EXPECT_EQ(cm.chainsUnlinked(), retired + 1);
+    EXPECT_EQ(cm.chainedFunctions(), chained - 1);
+    EXPECT_EQ(cm.retiredChainCount(), 1u);
     cm.unpinEpoch(pin);
+    EXPECT_EQ(cm.retiredChainCount(), 0u);
+    EXPECT_EQ(cm.reclaimedObjects(), reclaimed + 1);
 }
 
 TEST(Chaining, SmcReplaceUnlinksTheRetiredChain)
 {
     // llva.smc.replace.function from inside the program: the hot
     // callee is promoted (and chained), then replaced mid-run. The
-    // retired chain must be unlinked, and the replacement visible
-    // to future calls.
+    // chain must retire with its body, and the replacement be
+    // visible to future calls.
     auto m = parseAssembly(R"(
 declare void %llva.smc.replace.function(ubyte* %t, ubyte* %r)
 internal int %work(int %n) {
@@ -373,8 +370,8 @@ swap:
     // Future invocations see the replacement...
     EXPECT_EQ(static_cast<int64_t>(r.value.i), 7);
     ASSERT_GE(cm.promotions(), 1u);
-    // ...and the promoted body's chain was built, then severed by
-    // the SMC retirement.
+    // ...and the promoted body's chain was built, then retired by
+    // the SMC invalidation.
     EXPECT_GE(cm.chainsUnlinked(), 1u);
 }
 
@@ -646,8 +643,8 @@ TEST(InstructionLimit, SimulatorBudgetIsExactAcrossTierFallback)
 
 TEST(InstructionLimit, ChainedFastPathHonorsTheBudget)
 {
-    // Budgets are exact in the chained superblock loop too, which
-    // keeps its instruction count in a local across handler calls.
+    // Budgets are exact on promoted bodies too: the block loop keeps
+    // its instruction count in a local across handler calls.
     auto m = parseAssembly(kHotCalls).orDie();
     verifyOrDie(*m);
 

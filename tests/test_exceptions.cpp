@@ -409,6 +409,89 @@ entry:
     EXPECT_EQ(static_cast<int64_t>(r2.value.i), 2);
 }
 
+TEST(SMC, SelfReplacementKeepsTheActiveInvocation)
+{
+    // work replaces itself halfway through its loop. Section 3.4: the
+    // active invocation finishes on its now-retired body (sum 0..999),
+    // and only the next calls run the replacement (3 * n).
+    auto m = parseAssembly(R"(
+declare void %llva.smc.replace.function(ubyte* %t, ubyte* %r)
+internal int %work(int %n) {
+entry:
+    br label %head
+head:
+    %i = phi int [ 0, %entry ], [ %i2, %next ]
+    %acc = phi int [ 0, %entry ], [ %acc2, %next ]
+    %acc2 = add int %acc, %i
+    %i2 = add int %i, 1
+    %half = seteq int %i2, 500
+    br bool %half, label %swap, label %next
+swap:
+    %t = cast int (int)* %work to ubyte*
+    %r = cast int (int)* %work2 to ubyte*
+    call void %llva.smc.replace.function(ubyte* %t, ubyte* %r)
+    br label %next
+next:
+    %more = setlt int %i2, %n
+    br bool %more, label %head, label %out
+out:
+    ret int %acc2
+}
+internal int %work2(int %n) {
+entry:
+    %r = mul int %n, 3
+    ret int %r
+}
+int %main() {
+entry:
+    %a = call int %work(int 1000)
+    %b = call int %work(int 1000)
+    %c = call int %work(int 10)
+    %ab = add int %a, %b
+    %abc = add int %ab, %c
+    ret int %abc
+}
+)").orDie();
+    verifyOrDie(*m);
+    const int64_t want = 499500 + 3000 + 30;
+    ASSERT_EQ(static_cast<int64_t>(interpret(*m).value.i), want);
+
+    struct Config
+    {
+        uint8_t level;
+        bool adaptive;
+    };
+    for (const std::string &target : targetNames()) {
+        for (Config c : {Config{0, false}, Config{2, false},
+                         Config{2, true}}) {
+            CodeGenOptions opts;
+            opts.optLevel = c.level;
+            opts.adaptive = c.adaptive;
+            opts.promoteWatermark = 100;
+            CodeManager cm(*getTarget(target), opts);
+            EdgeProfile profile;
+            ExecutionContext ctx(*m);
+            MachineSimulator sim(ctx, cm);
+            if (c.adaptive) {
+                cm.setAdaptive(&profile, opts.promoteWatermark);
+                sim.setProfile(&profile);
+            }
+            const std::string config =
+                target + " -O" + std::to_string(c.level) +
+                (c.adaptive ? " adaptive" : "");
+            auto r = sim.run(m->getFunction("main"));
+            ASSERT_TRUE(r.ok()) << config;
+            EXPECT_EQ(static_cast<int64_t>(r.value.i), want) << config;
+            // Adaptive: promoted mid-loop, then retired by the
+            // replacement, so the activation outlived both its bodies.
+            if (c.adaptive) {
+                EXPECT_GE(cm.promotions(), 1u) << config;
+            }
+            EXPECT_EQ(cm.retiredBodies(), 0u) << config;
+        }
+    }
+}
+
 namespace {
 
 const char *kInfiniteRecursion = R"(

@@ -1,7 +1,7 @@
 /**
  * @file
- * Live-update tests: epoch-based reclamation of retired bodies and
- * chains (the lists must drain, not leak), epoch pins protecting
+ * Live-update tests: epoch-based reclamation of retired bodies with
+ * their chains (the list must drain, not leak), epoch pins protecting
  * still-executing bodies, replaceFunctionLive() swapping a function
  * under a running program — including from a second thread while the
  * first executes it — and the recoverable-trap semantics of rejected

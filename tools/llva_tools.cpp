@@ -113,8 +113,9 @@ usage()
                 entry); under a different --target the checkpointed
                 code heals by retranslation and a carried profile
                 re-promotes immediately
-  --pause-at N  pause after N simulated instructions, so a
-                --checkpoint captures the suspended activation
+  --pause-at N  pause at the first block boundary after N
+                simulated instructions, so a --checkpoint captures
+                the suspended activation
                 (resumable same-target only; cross-ISA migration
                 needs a quiescent checkpoint)
   -print-traces print formed hot traces to stderr (llva-run: at each
