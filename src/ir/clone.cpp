@@ -44,7 +44,6 @@ FunctionSnapshot::capture(const Function &f)
             c->setExceptionsEnabled(inst->exceptionsEnabled());
             map[inst.get()] = c;
             clone_bb->append(std::unique_ptr<Instruction>(c));
-            ++snap.instCount_;
         }
     }
 
@@ -79,7 +78,6 @@ FunctionSnapshot::restoreInto(Function &f)
     for (auto &bb : blocks_)
         f.adoptBlock(std::move(bb));
     blocks_.clear();
-    instCount_ = 0;
     captured_ = false;
 }
 

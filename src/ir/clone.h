@@ -1,8 +1,10 @@
 /**
  * @file
  * FunctionSnapshot: a detached, self-contained clone of a function
- * body, used as the restore point for fault-contained pass execution
- * and tiered retranslation. Capturing is a cheap IR clone (one
+ * body, the one restore point of a translation rung
+ * (CodeManager::translateRung): the rung optimizes and code-generates
+ * the body in place, then restores it, whether or not anything on
+ * the way failed. Capturing is a cheap IR clone (one
  * Instruction::clone per instruction plus an operand remap);
  * restoring replaces the function's current — possibly mangled —
  * body with the captured one in O(body size), leaving every
@@ -26,10 +28,9 @@ class FunctionSnapshot
     FunctionSnapshot() = default;
 
     /**
-     * Discarding an unconsumed snapshot (the common case: the
-     * guarded pass succeeded and the restore point is no longer
-     * needed) severs the clone's cross-block def-use edges first;
-     * BasicBlock teardown only breaks edges within one block.
+     * Discarding an unconsumed snapshot severs the clone's
+     * cross-block def-use edges first; BasicBlock teardown only
+     * breaks edges within one block.
      */
     ~FunctionSnapshot();
 
@@ -55,14 +56,8 @@ class FunctionSnapshot
      */
     void restoreInto(Function &f);
 
-    /** Instructions in the captured body. */
-    size_t instructionCount() const { return instCount_; }
-
-    bool captured() const { return captured_; }
-
   private:
     std::vector<std::unique_ptr<BasicBlock>> blocks_;
-    size_t instCount_ = 0;
     bool captured_ = false;
 };
 

@@ -52,24 +52,6 @@ Module::getOrInsertFunction(const std::string &name, FunctionType *type)
     return createFunction(type, name);
 }
 
-void
-Module::eraseFunction(Function *f)
-{
-    for (auto it = functions_.begin(); it != functions_.end(); ++it) {
-        if (it->get() == f) {
-            // Destroy the body so block/argument uses disappear.
-            for (auto &bb : *f)
-                bb->clear();
-            LLVA_ASSERT(!f->hasUses(),
-                        "erasing function %%%s that still has users",
-                        f->name().c_str());
-            functions_.erase(it);
-            return;
-        }
-    }
-    panic("eraseFunction: function not in module");
-}
-
 GlobalVariable *
 Module::createGlobal(Type *contained, const std::string &name,
                      Constant *init, bool is_constant, Linkage linkage)

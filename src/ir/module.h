@@ -58,9 +58,6 @@ class Module
     Function *getOrInsertFunction(const std::string &name,
                                   FunctionType *type);
 
-    /** Remove and destroy a function (must have no users). */
-    void eraseFunction(Function *f);
-
     const std::list<std::unique_ptr<Function>> &functions() const
     {
         return functions_;

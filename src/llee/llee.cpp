@@ -8,6 +8,7 @@
 #include "support/thread_pool.h"
 #include "support/timer.h"
 #include "trace/profile.h"
+#include "verifier/verifier.h"
 
 namespace llva {
 
@@ -108,7 +109,10 @@ LLEE::execute(const std::vector<uint8_t> &bytecode,
     // translation simply never matches the new key.
     uint64_t moduleHash = fnv1a(bytecode);
     std::string progKey = programKey(bytecode);
+    // Bytecode is untrusted: a module the verifier rejects is refused
+    // before anything is translated, run or cached.
     std::unique_ptr<Module> m = readBytecode(bytecode).orDie();
+    verifyOrDie(*m);
 
     CodeManager cm(target_, opts_);
     cm.setHooks(hooks_);
@@ -270,6 +274,7 @@ LLEE::offlineTranslate(const std::vector<uint8_t> &bytecode)
     uint64_t moduleHash = fnv1a(bytecode);
     std::string progKey = programKey(bytecode);
     std::unique_ptr<Module> m = readBytecode(bytecode).orDie();
+    verifyOrDie(*m);
 
     // Incremental retranslation (Section 4.2): entries whose storage
     // timestamp is already set are current — the content hash in the

@@ -224,12 +224,10 @@ CommonTarget::returnReg(RegClass rc) const
 }
 
 void
-CommonTarget::setInstr(unsigned rel, const char *mnemonic,
-                       ExecFn exec, unsigned enc_bytes)
+CommonTarget::setInstr(unsigned rel, ExecFn exec, unsigned enc_bytes)
 {
     LLVA_ASSERT(rel < kNumRelOps, "relative opcode out of range");
-    table_[rel] = {mnemonic, exec,
-                   static_cast<uint8_t>(enc_bytes)};
+    table_[rel] = {exec, static_cast<uint8_t>(enc_bytes)};
 }
 
 void
@@ -243,34 +241,27 @@ CommonTarget::setEncBytes(unsigned rel, unsigned bytes)
 void
 CommonTarget::installCommonCore(ExecFn setcc_handler)
 {
-    static const char *const alu[] = {"add", "sub", "mul", "div",
-                                      "rem", "and", "or",  "xor",
-                                      "shl", "shr"};
     for (unsigned i = kAdd; i <= kShr; ++i)
-        setInstr(i, alu[i - kAdd], hAlu);
-    static const char *const falu[] = {"fadd", "fsub", "fmul",
-                                       "fdiv", "frem"};
+        setInstr(i, hAlu);
     for (unsigned i = kFAdd; i <= kFRem; ++i)
-        setInstr(i, falu[i - kFAdd], hFAlu);
-    static const char *const setcc[] = {"seteq", "setne", "setlt",
-                                        "setgt", "setle", "setge"};
+        setInstr(i, hFAlu);
     for (unsigned i = kSetEq; i <= kSetGe; ++i)
-        setInstr(i, setcc[i - kSetEq], setcc_handler);
-    setInstr(kBrnz, "brnz", hBrnz);
-    setInstr(kBr, "br", hBr);
-    setInstr(kCall, "call", hCall);
-    setInstr(kRet, "ret", hRet);
-    setInstr(kUnwind, "unwind", hUnwind);
-    setInstr(kLoad, "load", hLoad);
-    setInstr(kStore, "store", hStore);
-    setInstr(kLoadStack, "loadstack", hLoadStack);
-    setInstr(kStoreStack, "storestack", hStoreStack);
-    setInstr(kExt, "ext", execExt);
-    setInstr(kCvtI2F, "cvti2f", execCvtI2F);
-    setInstr(kCvtF2I, "cvtf2i", execCvtF2I);
-    setInstr(kCvtF2F, "cvtf2f", execCvtF2F);
-    setInstr(kCvtI2B, "cvti2b", execCvtI2B);
-    setInstr(kSpAdj, "spadj", hSpAdj);
+        setInstr(i, setcc_handler);
+    setInstr(kBrnz, hBrnz);
+    setInstr(kBr, hBr);
+    setInstr(kCall, hCall);
+    setInstr(kRet, hRet);
+    setInstr(kUnwind, hUnwind);
+    setInstr(kLoad, hLoad);
+    setInstr(kStore, hStore);
+    setInstr(kLoadStack, hLoadStack);
+    setInstr(kStoreStack, hStoreStack);
+    setInstr(kExt, execExt);
+    setInstr(kCvtI2F, execCvtI2F);
+    setInstr(kCvtF2I, execCvtF2I);
+    setInstr(kCvtF2F, execCvtF2F);
+    setInstr(kCvtI2B, execCvtI2B);
+    setInstr(kSpAdj, hSpAdj);
 }
 
 void

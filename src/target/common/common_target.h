@@ -8,8 +8,8 @@
  *  - an AbiDesc describing the calling convention (how many
  *    arguments ride in registers, which registers, where returns
  *    live), and
- *  - a table of InstrDesc rows (mnemonic, execute handler, encoding
- *    width) indexed by the relative opcode layout of target_ops.h.
+ *  - a table of InstrDesc rows (execute handler, encoding width)
+ *    indexed by the relative opcode layout of target_ops.h.
  *
  * A backend supplies its register file, fills the table (mostly via
  * installCommonCore), and implements only what is genuinely
@@ -47,7 +47,6 @@ struct AbiDesc
 /** One row of a target's instruction-description table. */
 struct InstrDesc
 {
-    const char *mnemonic = nullptr;
     ExecFn exec = nullptr;
     /** Encoded byte size; 0 defers to the target's variableSize()
      *  (variable-length encodings and fixed-word targets). */
@@ -100,8 +99,7 @@ class CommonTarget : public Target
     }
 
     /** Register one instruction-table row. */
-    void setInstr(unsigned rel, const char *mnemonic, ExecFn exec,
-                  unsigned enc_bytes = 0);
+    void setInstr(unsigned rel, ExecFn exec, unsigned enc_bytes = 0);
 
     /** Set the encoded size of an already-registered row. */
     void setEncBytes(unsigned rel, unsigned bytes);

@@ -77,9 +77,9 @@ RiscvTarget::RiscvTarget()
     installCommonCore(cmn::hSetCCCompare);
     // lui+ori immediate pairs with a 12-bit low half; FP constants
     // ride a constant-pool load addressed by the hi half.
-    setInstr(cmn::kHi, "lui", cmn::hHi<0xfff>);
-    setInstr(cmn::kLo, "ori", cmn::hLo<0xfff>);
-    setInstr(cmn::kLoadConst, "fld", cmn::hLoadConst);
+    setInstr(cmn::kHi, cmn::hHi<0xfff>);
+    setInstr(cmn::kLo, cmn::hLo<0xfff>);
+    setInstr(cmn::kLoadConst, cmn::hLoadConst);
 }
 
 const char *

@@ -97,10 +97,10 @@ SparcTarget::SparcTarget()
     // sparc code-size numbers. The delay-slot nop exists because this
     // simple code generator never schedules useful work into
     // call/return slots.
-    setInstr(cmn::kHi, "sethi", cmn::hHi<0x3ff>);
-    setInstr(cmn::kLo, "or", cmn::hLo<0x3ff>);
-    setInstr(cmn::kLoadConst, "ld", cmn::hLoadConst);
-    setInstr(cmn::kNop, "nop", cmn::hNop);
+    setInstr(cmn::kHi, cmn::hHi<0x3ff>);
+    setInstr(cmn::kLo, cmn::hLo<0x3ff>);
+    setInstr(cmn::kLoadConst, cmn::hLoadConst);
+    setInstr(cmn::kNop, cmn::hNop);
 }
 
 const char *

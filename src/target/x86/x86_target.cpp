@@ -135,8 +135,8 @@ X86Target::X86Target()
     calleeFP_ = {}; // xmm regs are caller-saved on x86
 
     installCommonCore(cmn::hSetCCFlags);
-    setInstr(cmn::relOp(kX86Cmp), "cmp", cmn::hCmpFlags);
-    setInstr(cmn::relOp(kX86FCmp), "ucomisd", cmn::hFCmpFlags, 4);
+    setInstr(cmn::relOp(kX86Cmp), cmn::hCmpFlags);
+    setInstr(cmn::relOp(kX86FCmp), cmn::hFCmpFlags, 4);
 
     // Fixed encoded sizes; rows left at 0 are operand-dependent and
     // resolved by variableSize().

@@ -8,8 +8,8 @@
  * A BlockId is the pair (fnv1a of the function name, fnv1a of the
  * block name). Unlike the BasicBlock pointers an earlier revision
  * keyed on, a BlockId survives everything a pointer does not:
- * CFG-mutating passes that delete and recreate blocks, sandboxed
- * tier retranslation restoring a FunctionSnapshot, and — because it
+ * CFG-mutating passes that delete and recreate blocks, a
+ * translation rung restoring its FunctionSnapshot, and — because it
  * is content-derived — process restarts, which is what lets LLEE
  * persist a profile next to the virtual object code and resume at
  * the trace tier on a warm start.

@@ -1,12 +1,11 @@
 #include "transforms/pass.h"
 
 #include <algorithm>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
-#include <set>
 
-#include "ir/clone.h"
 #include "support/statistic.h"
 #include "support/timer.h"
 #include "verifier/verifier.h"
@@ -19,11 +18,27 @@ Statistic NumPassRuns("pass.applications",
                       "Individual pass applications (pass x unit)");
 Statistic NumPassChanges("pass.changes",
                          "Pass applications that modified the IR");
-Statistic NumContained("passes.contained_failures",
-                       "Pass applications contained by the sandbox");
+Statistic NumFailed("passes.contained_failures",
+                    "Pass applications that failed (fault, budget or "
+                    "broken IR), ending their run");
 Statistic NumBudgetExceeded(
     "passes.budget_exceeded",
-    "Pass applications rolled back for blowing their budget");
+    "Pass applications that failed by blowing their budget");
+
+/** Count one failed pass application and end the run with a
+ *  FatalError carrying the formatted message. */
+[[noreturn]] __attribute__((format(printf, 2, 3))) void
+fail(bool budget, const char *fmt, ...)
+{
+    ++NumFailed;
+    if (budget)
+        ++NumBudgetExceeded;
+    va_list ap;
+    va_start(ap, fmt);
+    std::string msg = vformatString(fmt, ap);
+    va_end(ap);
+    throw FatalError(msg);
+}
 
 /** CI hook: LLVA_VERIFY_EACH=1 turns on verify-each everywhere. */
 bool
@@ -125,239 +140,14 @@ PassManager::run(Module &m)
     return run(m, am);
 }
 
-void
-PassManager::verifyAfter(Module &m, const Entry &e)
-{
-    VerifyResult r = verifyModule(m);
-    if (!r.ok())
-        fatal("verification failed after pass '%s':\n%s", e.name(),
-              r.str().c_str());
-}
-
-PassResult
-PassManager::applyFunctionPass(const Entry &e, Function &f,
-                               AnalysisManager &am)
-{
-    ++NumPassRuns;
-    if (OptBisect::enabled() && !OptBisect::shouldRun(e.name(), f.name()))
-        return PassResult::unchanged();
-
-    const bool verify = verifyEach_ || envVerifyEach();
-
-    if (!sandbox_) {
-        PassResult r = e.fp->run(f, am);
-        if (r.changed) {
-            ++NumPassChanges;
-            am.invalidate(f, r.preserved);
-        }
-        if (verify) {
-            VerifyResult vr = verifyFunction(f);
-            if (!vr.ok())
-                fatal("verification failed after pass '%s' on "
-                      "function '%s':\n%s",
-                      e.name(), f.name().c_str(), vr.str().c_str());
-        }
-        return r;
-    }
-
-    // Sandboxed: snapshot, guard, enforce the budget, and on any
-    // failure put the function back exactly as it was.
-    FunctionSnapshot snap = FunctionSnapshot::capture(f);
-    const size_t before = snap.instructionCount();
-    Timer t;
-    std::string failure;
-    bool budgetBlown = false;
-    PassResult r = PassResult::unchanged();
-    try {
-        r = e.fp->run(f, am);
-    } catch (const FatalError &err) {
-        failure = std::string("pass fault: ") + err.what();
-    } catch (const std::exception &err) {
-        failure = std::string("pass exception: ") + err.what();
-    }
-
-    if (failure.empty()) {
-        const double secs = t.seconds();
-        const size_t limit = std::max(
-            budget_.growthFloor,
-            static_cast<size_t>(static_cast<double>(before) *
-                                budget_.maxGrowth));
-        if (secs > budget_.maxSeconds) {
-            char buf[128];
-            std::snprintf(buf, sizeof(buf),
-                          "budget exceeded: %.3fs > %.3fs wall clock",
-                          secs, budget_.maxSeconds);
-            failure = buf;
-            budgetBlown = true;
-        } else if (f.instructionCount() > limit) {
-            char buf[128];
-            std::snprintf(buf, sizeof(buf),
-                          "budget exceeded: grew %zu -> %zu "
-                          "instructions (limit %zu)",
-                          before, f.instructionCount(), limit);
-            failure = buf;
-            budgetBlown = true;
-        }
-    }
-
-    // Invalidation runs outside the guard on purpose: the analysis
-    // manager's preservation audit flags a pass-declaration bug, not
-    // an input-dependent fault, and must never be swallowed here.
-    if (failure.empty() && r.changed)
-        am.invalidate(f, r.preserved);
-
-    if (failure.empty() && verify) {
-        VerifyResult vr = verifyFunction(f);
-        if (!vr.ok())
-            failure = "verification failed: " + vr.str();
-    }
-
-    if (!failure.empty()) {
-        snap.restoreInto(f);
-        // The restore replaced every block, so anything cached for
-        // this function points at freed IR.
-        am.invalidate(f);
-        containedFailures_.push_back({e.name(), f.name(), failure});
-        ++NumContained;
-        if (budgetBlown)
-            ++NumBudgetExceeded;
-        warn("contained pass '%s' on function '%s': %s", e.name(),
-             f.name().c_str(), failure.c_str());
-        return PassResult::unchanged();
-    }
-    if (r.changed)
-        ++NumPassChanges;
-    return r;
-}
-
-PassResult
-PassManager::applyModulePass(const Entry &e, Module &m,
-                             AnalysisManager &am)
-{
-    ++NumPassRuns;
-    if (OptBisect::enabled() && !OptBisect::shouldRun(e.name(), m.name()))
-        return PassResult::unchanged();
-
-    const bool verify = verifyEach_ || envVerifyEach();
-
-    if (!sandbox_) {
-        PassResult r = e.mp->run(m, am);
-        if (r.changed) {
-            ++NumPassChanges;
-            // Interprocedural rewrites can touch any function;
-            // drop every cached analysis.
-            am.clear();
-        }
-        if (verify)
-            verifyAfter(m, e);
-        return r;
-    }
-
-    // Sandboxed module pass: snapshot every defined body plus the
-    // set of functions, so a faulting interprocedural pass can be
-    // unwound (bodies restored, functions it minted removed).
-    std::vector<std::pair<Function *, FunctionSnapshot>> snaps;
-    std::set<const Function *> preexisting;
-    size_t before = 0;
-    for (const auto &f : m.functions()) {
-        preexisting.insert(f.get());
-        if (f->isDeclaration())
-            continue;
-        snaps.emplace_back(f.get(), FunctionSnapshot::capture(*f));
-        before += snaps.back().second.instructionCount();
-    }
-
-    Timer t;
-    std::string failure;
-    bool budgetBlown = false;
-    PassResult r = PassResult::unchanged();
-    try {
-        r = e.mp->run(m, am);
-    } catch (const FatalError &err) {
-        failure = std::string("pass fault: ") + err.what();
-    } catch (const std::exception &err) {
-        failure = std::string("pass exception: ") + err.what();
-    }
-
-    if (failure.empty()) {
-        const double secs = t.seconds();
-        const size_t limit = std::max(
-            budget_.growthFloor,
-            static_cast<size_t>(static_cast<double>(before) *
-                                budget_.maxGrowth));
-        if (secs > budget_.maxSeconds) {
-            char buf[128];
-            std::snprintf(buf, sizeof(buf),
-                          "budget exceeded: %.3fs > %.3fs wall clock",
-                          secs, budget_.maxSeconds);
-            failure = buf;
-            budgetBlown = true;
-        } else if (m.instructionCount() > limit) {
-            char buf[128];
-            std::snprintf(buf, sizeof(buf),
-                          "budget exceeded: module grew %zu -> %zu "
-                          "instructions (limit %zu)",
-                          before, m.instructionCount(), limit);
-            failure = buf;
-            budgetBlown = true;
-        }
-    }
-
-    if (failure.empty() && r.changed)
-        am.clear();
-
-    if (failure.empty() && verify) {
-        VerifyResult vr = verifyModule(m);
-        if (!vr.ok())
-            failure = "verification failed: " + vr.str();
-    }
-
-    if (!failure.empty()) {
-        for (auto &[f, snap] : snaps)
-            snap.restoreInto(*f);
-        // With every pre-existing body restored, nothing can
-        // reference functions the pass created; drop them.
-        std::vector<Function *> minted;
-        for (const auto &f : m.functions())
-            if (!preexisting.count(f.get()) && !f->hasUses())
-                minted.push_back(f.get());
-        for (Function *f : minted)
-            m.eraseFunction(f);
-        am.clear();
-        containedFailures_.push_back({e.name(), "", failure});
-        ++NumContained;
-        if (budgetBlown)
-            ++NumBudgetExceeded;
-        warn("contained module pass '%s': %s", e.name(),
-             failure.c_str());
-        return PassResult::unchanged();
-    }
-    if (r.changed)
-        ++NumPassChanges;
-    return r;
-}
-
 bool
 PassManager::run(Module &m, AnalysisManager &am)
 {
-    changed_.clear();
-    containedFailures_.clear();
-    timings_.clear();
-    timings_.resize(entries_.size());
-    for (size_t i = 0; i < entries_.size(); ++i)
-        timings_[i].name = entries_[i].name();
-
+    beginRun();
     size_t i = 0;
     while (i < entries_.size()) {
         if (entries_[i].mp) {
-            Entry &e = entries_[i];
-            Timer t;
-            PassResult r = applyModulePass(e, m, am);
-            timings_[i].seconds += t.seconds();
-            timings_[i].invocations += 1;
-            if (r.changed)
-                timings_[i].changed = true;
-            ++i;
+            apply(i++, m, nullptr, am);
             continue;
         }
 
@@ -371,61 +161,109 @@ PassManager::run(Module &m, AnalysisManager &am)
         for (auto &f : m.functions()) {
             if (f->isDeclaration())
                 continue;
-            for (size_t k = i; k < stageEnd; ++k) {
-                Entry &e = entries_[k];
-                Timer t;
-                PassResult r = applyFunctionPass(e, *f, am);
-                timings_[k].seconds += t.seconds();
-                timings_[k].invocations += 1;
-                if (r.changed)
-                    timings_[k].changed = true;
-            }
+            for (size_t k = i; k < stageEnd; ++k)
+                apply(k, m, f.get(), am);
         }
         i = stageEnd;
     }
-
-    bool any = false;
-    for (const PassTiming &t : timings_) {
-        if (!t.changed)
-            continue;
-        changed_.push_back(t.name);
-        any = true;
-    }
-    return any;
+    return endRun();
 }
 
 bool
 PassManager::runOnFunction(Function &f, AnalysisManager &am)
 {
-    changed_.clear();
-    containedFailures_.clear();
-    timings_.clear();
-    timings_.resize(entries_.size());
-    for (size_t i = 0; i < entries_.size(); ++i) {
-        timings_[i].name = entries_[i].name();
-        if (entries_[i].mp)
-            panic("runOnFunction: pipeline contains module pass '%s'",
-                  entries_[i].name());
-    }
-
+    beginRun();
     for (size_t k = 0; k < entries_.size(); ++k) {
-        Entry &e = entries_[k];
-        Timer t;
-        PassResult r = applyFunctionPass(e, f, am);
-        timings_[k].seconds += t.seconds();
-        timings_[k].invocations += 1;
-        if (r.changed)
-            timings_[k].changed = true;
+        if (entries_[k].mp)
+            panic("runOnFunction: pipeline contains module pass '%s'",
+                  entries_[k].name());
+        apply(k, *f.parent(), &f, am);
+    }
+    return endRun();
+}
+
+void
+PassManager::beginRun()
+{
+    changed_.clear();
+    timings_.assign(entries_.size(), PassTiming{});
+    for (size_t k = 0; k < entries_.size(); ++k)
+        timings_[k].name = entries_[k].name();
+}
+
+bool
+PassManager::endRun()
+{
+    for (const PassTiming &t : timings_)
+        if (t.changed)
+            changed_.push_back(t.name);
+    return !changed_.empty();
+}
+
+void
+PassManager::apply(size_t k, Module &m, Function *f, AnalysisManager &am)
+{
+    const Entry &e = entries_[k];
+    PassTiming &timing = timings_[k];
+    Timer t;
+    ++NumPassRuns;
+    ++timing.invocations;
+    const std::string &unit = f ? f->name() : m.name();
+    if (OptBisect::enabled() && !OptBisect::shouldRun(e.name(), unit)) {
+        timing.seconds += t.seconds();
+        return;
+    }
+    const char *kind = f ? "function" : "module";
+    auto size = [&] {
+        return f ? f->instructionCount() : m.instructionCount();
+    };
+
+    const size_t before = size();
+    PassResult r;
+    try {
+        r = f ? e.fp->run(*f, am) : e.mp->run(m, am);
+    } catch (const std::exception &err) {
+        fail(false, "pass '%s' failed on %s '%s': %s", e.name(), kind,
+             unit.c_str(), err.what());
     }
 
-    bool any = false;
-    for (const PassTiming &t : timings_) {
-        if (!t.changed)
-            continue;
-        changed_.push_back(t.name);
-        any = true;
+    const double secs = t.seconds();
+    if (secs > budget_.maxSeconds)
+        fail(true,
+             "pass '%s' on %s '%s' exceeded its budget: %.3fs > %.3fs "
+             "wall clock",
+             e.name(), kind, unit.c_str(), secs, budget_.maxSeconds);
+    const size_t after = size();
+    const size_t limit = std::max(
+        budget_.growthFloor,
+        static_cast<size_t>(static_cast<double>(before) *
+                            budget_.maxGrowth));
+    if (after > limit)
+        fail(true,
+             "pass '%s' on %s '%s' exceeded its budget: grew %zu -> %zu "
+             "instructions (limit %zu)",
+             e.name(), kind, unit.c_str(), before, after, limit);
+
+    // Invalidation stays outside the catch: the preservation audit's
+    // own FatalError reports a pass-declaration bug as itself.
+    if (r.changed) {
+        ++NumPassChanges;
+        timing.changed = true;
+        // A module pass can touch any function: drop everything.
+        if (f)
+            am.invalidate(*f, r.preserved);
+        else
+            am.clear();
     }
-    return any;
+
+    if (verifyEach_ || envVerifyEach()) {
+        VerifyResult vr = f ? verifyFunction(*f) : verifyModule(m);
+        if (!vr.ok())
+            fail(false,
+                 "verification failed after pass '%s' on %s '%s':\n%s",
+                 e.name(), kind, unit.c_str(), vr.str().c_str());
+    }
+    timing.seconds += t.seconds();
 }
 
 std::string

@@ -92,12 +92,11 @@ struct PassTiming
 };
 
 /**
- * Resource ceiling for one sandboxed pass application. A pass that
- * exceeds it is treated exactly like a faulting pass: the unit is
- * restored from its snapshot and the pipeline continues without
- * that application. Wall clock is necessarily checked after the
- * pass returns (passes are not preemptible), so the budget bounds
- * damage per application, not the absolute latency of one.
+ * Resource ceiling for one pass application, checked on every run. A
+ * pass that exceeds it fails exactly like a faulting pass. Wall clock
+ * is necessarily checked after the pass returns (passes are not
+ * preemptible), so the budget bounds damage per application, not the
+ * absolute latency of one.
  */
 struct PassBudget
 {
@@ -105,17 +104,9 @@ struct PassBudget
     double maxSeconds = 5.0;
     /** Max IR instruction growth factor for a single application. */
     double maxGrowth = 8.0;
-    /** Functions smaller than this may always grow up to it (a
+    /** Units smaller than this may always grow up to it (a
      *  3-instruction function legitimately triples). */
     size_t growthFloor = 512;
-};
-
-/** Identity of one contained pass failure (sandbox telemetry). */
-struct ContainedFailure
-{
-    std::string pass;
-    std::string unit; ///< function name; empty for a module pass
-    std::string reason;
 };
 
 /**
@@ -153,8 +144,16 @@ class OptBisect
  * Consecutive function passes are applied function-major (all
  * stage passes to one function before moving to the next) so the
  * AnalysisManager cache stays hot; module passes act as barriers
- * and flush the cache when they change anything. Optionally
- * verifies after each pass application (used heavily in tests).
+ * and flush the cache when they change anything.
+ *
+ * Every application goes through one routine: bisect, run, budget,
+ * invalidate and, with verify-each, verify. Any failure (the pass
+ * throws, blows its PassBudget, or leaves IR the verifier rejects)
+ * ends the run with a FatalError naming the pass, the function and
+ * the cause, and is counted in passes.contained_failures (and in
+ * passes.budget_exceeded). The manager restores nothing: the
+ * translator's rung holds the one restore point and degrades a tier
+ * (vm/code_manager.h), and batch tools stop loudly.
  */
 class PassManager
 {
@@ -173,25 +172,8 @@ class PassManager
 
     void setVerifyEach(bool v) { verifyEach_ = v; }
 
-    /**
-     * Fault containment: snapshot each unit before a pass runs, and
-     * if the pass throws, breaks the verifier (under verify-each), or
-     * blows its budget, restore the snapshot and continue the
-     * pipeline without that application. Off by default — batch
-     * tools want a faulting pass to be loud; the runtime translator
-     * wants it contained.
-     */
-    void setSandbox(bool v) { sandbox_ = v; }
-    bool sandbox() const { return sandbox_; }
-
     void setBudget(const PassBudget &b) { budget_ = b; }
     const PassBudget &budget() const { return budget_; }
-
-    /** Failures contained by the sandbox in the last run. */
-    const std::vector<ContainedFailure> &containedFailures() const
-    {
-        return containedFailures_;
-    }
 
     /** Run all passes; returns true if anything changed. */
     bool run(Module &m);
@@ -234,22 +216,24 @@ class PassManager
         }
     };
 
-    void verifyAfter(Module &m, const Entry &e);
+    /** Reset the last run's changed passes and timings. */
+    void beginRun();
+    /** Collect the changed passes; true if any pass changed the IR. */
+    bool endRun();
 
-    /** One sandboxed/bisected function-pass application. */
-    PassResult applyFunctionPass(const Entry &e, Function &f,
-                                 AnalysisManager &am);
-    /** One sandboxed/bisected module-pass application. */
-    PassResult applyModulePass(const Entry &e, Module &m,
-                               AnalysisManager &am);
+    /**
+     * The one application routine: entry \p k on \p f, or on \p m
+     * when \p f is null (a module pass). Bisects, runs, checks the
+     * budget, invalidates, verifies under verify-each, and adds the
+     * application to timings_[k]. Throws FatalError on a failure.
+     */
+    void apply(size_t k, Module &m, Function *f, AnalysisManager &am);
 
     std::vector<Entry> entries_;
     std::vector<std::string> changed_;
     std::vector<PassTiming> timings_;
-    std::vector<ContainedFailure> containedFailures_;
     PassBudget budget_;
     bool verifyEach_ = false;
-    bool sandbox_ = false;
 };
 
 // Factory functions for the standard passes.

@@ -124,50 +124,40 @@ CodeManager::Translation
 CodeManager::translateRung(Function &f, unsigned tier)
 {
     // Optimize copy-on-write style: snapshot the pristine body,
-    // optimize in place under the sandbox, codegen, then restore.
-    // The original bytecode stays the single source of truth (lower
-    // tiers, later promotions and the interpreter must see the
-    // unoptimized body). Plain -O0 changes nothing, so it skips the
-    // snapshot and touches no shared state: the parallel batch runs
-    // it on worker threads.
+    // optimize and codegen in place, then restore. The original
+    // bytecode stays the single source of truth (lower tiers, later
+    // promotions and the interpreter must see the unoptimized body).
+    // The snapshot is the rung's one restore point: any failure on
+    // the way (a pass fault, a blown budget, broken IR, a trace or
+    // codegen fault) abandons the rung. Plain -O0 changes nothing, so
+    // it skips the snapshot and touches no shared state: the parallel
+    // batch runs it on worker threads.
     Timer timer;
     Translation t;
     const bool traces = tier == kTierTrace;
     const unsigned level = traces ? opts_.optLevel : tier;
     const bool mutates = tier > 0 || bool(hooks_);
     FunctionSnapshot pristine;
-    if (mutates) {
+    if (mutates)
         pristine = FunctionSnapshot::capture(f);
-        PassManager pm;
-        pm.setSandbox(true);
-        pm.setVerifyEach(opts_.verifyEach);
-        addFunctionPasses(pm, level);
-        if (hooks_.extendPipeline)
-            hooks_.extendPipeline(pm, tier);
-        AnalysisManager am;
-        bool failed = false;
-        try {
-            pm.runOnFunction(f, am);
-            // The sandbox restored any individual failing pass, but
-            // a tier that faulted at all is not trusted: degrade.
-            failed = !pm.containedFailures().empty();
-        } catch (const std::exception &) {
-            failed = true;
-        }
-        if (failed) {
-            pristine.restoreInto(f);
-            return t;
-        }
-    }
-
     try {
+        if (mutates) {
+            PassManager pm;
+            pm.setVerifyEach(opts_.verifyEach);
+            addFunctionPasses(pm, level);
+            if (hooks_.extendPipeline)
+                hooks_.extendPipeline(pm, tier);
+            AnalysisManager am;
+            pm.runOnFunction(f, am);
+        }
         if (traces)
             layOutTraces(f);
         if (hooks_.beforeCodegen)
             hooks_.beforeCodegen(f, tier);
         t.mf = translateFunction(f, target_, opts_, &t.stats);
-    } catch (const std::exception &) {
-        t.mf.reset();
+    } catch (const std::exception &err) {
+        warn("translating '%s' at -O%u%s: %s", f.name().c_str(), level,
+             traces ? "+traces" : "", err.what());
     }
     if (mutates)
         pristine.restoreInto(f);

@@ -14,9 +14,11 @@
  * under them.
  *
  * Tiered degradation: when options request an optimization level,
- * each function is optimized (under the pass sandbox) and code-
- * generated at that level; a tier whose pipeline contains a failure
- * or whose codegen faults is abandoned and the function is
+ * each function is optimized and code-generated at that level in
+ * place, and its body is then restored from the snapshot the rung
+ * took first. The rung is the failure domain: any failure in it (a
+ * pass fault, a blown pass budget, IR the verifier rejects, a codegen
+ * fault) abandons the tier at that restore, and the function is
  * retranslated one level lower, down to -O0 and finally the
  * interpreter (get() returns nullptr for interpreter-pinned
  * functions). A fault in one function's translation therefore never
@@ -340,12 +342,14 @@ class CodeManager
 
     /**
      * The one translation rung, for ladder level \p tier or, with
-     * kTierTrace, promotion (`-O<level>+traces`): optimize at the
-     * level (sandboxed, with the extendPipeline hook), form traces
-     * from the attached profile and lay them out when promoting,
-     * then codegen. The function body is left exactly as found. At
-     * -O0 without hooks it touches no shared state; otherwise the
-     * caller holds mu_ exclusively.
+     * kTierTrace, promotion (`-O<level>+traces`): snapshot the body,
+     * optimize at the level (with the extendPipeline hook), form
+     * traces from the attached profile and lay them out when
+     * promoting, then codegen, and restore the snapshot. Any failure
+     * on the way is warned about with its cause and yields no body.
+     * The function body is left exactly as found. At -O0 without
+     * hooks it touches no shared state; otherwise the caller holds
+     * mu_ exclusively.
      */
     Translation translateRung(Function &f, unsigned tier);
 

@@ -24,6 +24,19 @@ namespace {
 
 constexpr const char *kCache = "llee-native-cache";
 
+/** Throws whenever it is applied: a pass fault. */
+class ThrowingPass : public FunctionPass
+{
+  public:
+    PassResult
+    run(Function &, AnalysisManager &) override
+    {
+        throw std::runtime_error("injected trace-tier pass fault");
+    }
+
+    const char *name() const override { return "throw"; }
+};
+
 // A hot, branch-biased loop: the adaptive tier's bread and butter.
 // 'cold' sits between 'head' and 'hot' in source order so the trace
 // layout has a measurable fallthrough to win back.
@@ -274,37 +287,45 @@ TEST(Adaptive, CorruptPersistedProfileIsEvictedNotTrusted)
 TEST(Adaptive, FaultingTraceTierKeepsExistingTranslation)
 {
     // The trace tier degrades like any other rung: a promotion whose
-    // codegen faults is abandoned and the function keeps running on
-    // its existing -O2 body, correctly.
+    // codegen or passes fault is abandoned and the function keeps
+    // running on its existing -O2 body, correctly.
     auto [refValue, refOutput] = oracle();
     auto bc = hotLoopBytecode();
 
-    TranslationHooks hooks;
-    hooks.beforeCodegen = [](const Function &, unsigned level) {
+    TranslationHooks codegenFault;
+    codegenFault.beforeCodegen = [](const Function &, unsigned level) {
         if (level == kTierTrace)
             throw std::runtime_error("injected trace-tier fault");
     };
+    TranslationHooks passFault;
+    passFault.extendPipeline = [](PassManager &pm, unsigned level) {
+        if (level == kTierTrace)
+            pm.add(std::make_unique<ThrowingPass>());
+    };
 
-    MemoryStorage storage;
-    LLEE llee(*getTarget("sparc"), &storage, adaptiveOpts());
-    llee.setHooks(hooks);
-    LLEEResult r = llee.execute(bc);
+    for (const TranslationHooks &hooks : {codegenFault, passFault}) {
+        SCOPED_TRACE(hooks.beforeCodegen ? "codegen fault" : "pass fault");
+        MemoryStorage storage;
+        LLEE llee(*getTarget("sparc"), &storage, adaptiveOpts());
+        llee.setHooks(hooks);
+        LLEEResult r = llee.execute(bc);
 
-    ASSERT_TRUE(r.exec.ok());
-    EXPECT_EQ(r.exec.value.i, refValue);
-    EXPECT_EQ(r.output, refOutput);
-    EXPECT_EQ(r.promotions, 0u);
-    EXPECT_GE(r.promotionFailures, 1u);
-    // The failed promotion never reaches storage as a trace tier.
-    auto m = readBytecode(bc).orDie();
-    std::string name = LLEE::translationKey(
-        LLEE::programKey(bc), *m->getFunction("main"),
-        *getTarget("sparc"), adaptiveOpts());
-    std::vector<uint8_t> envelope;
-    ASSERT_TRUE(storage.read(kCache, name, envelope));
-    TranslationKey key;
-    ASSERT_EQ(inspectTranslation(envelope, &key), EnvelopeStatus::Ok);
-    EXPECT_NE(key.tier, kTierTrace);
+        ASSERT_TRUE(r.exec.ok());
+        EXPECT_EQ(r.exec.value.i, refValue);
+        EXPECT_EQ(r.output, refOutput);
+        EXPECT_EQ(r.promotions, 0u);
+        EXPECT_GE(r.promotionFailures, 1u);
+        // The failed promotion never reaches storage as a trace tier.
+        auto m = readBytecode(bc).orDie();
+        std::string name = LLEE::translationKey(
+            LLEE::programKey(bc), *m->getFunction("main"),
+            *getTarget("sparc"), adaptiveOpts());
+        std::vector<uint8_t> envelope;
+        ASSERT_TRUE(storage.read(kCache, name, envelope));
+        TranslationKey key;
+        ASSERT_EQ(inspectTranslation(envelope, &key), EnvelopeStatus::Ok);
+        EXPECT_NE(key.tier, kTierTrace);
+    }
 }
 
 TEST(Adaptive, SimulatorProfileMatchesInterpreterOnHotBlocks)

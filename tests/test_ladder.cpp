@@ -1,8 +1,10 @@
 /**
  * @file
- * Fault containment and tiered degradation: the pass sandbox
- * (snapshot / guard / budget / restore), the -O2 -> -O1 -> -O0 ->
- * interpreter ladder, the envelope-cached achieved tier, the
+ * Fault containment and tiered degradation: the translation rung as
+ * the one failure domain (a pass that faults, blows its budget or
+ * breaks the IR ends its rung, which restores its snapshot and warns
+ * with the pass, the function and the cause), the -O2 -> -O1 -> -O0
+ * -> interpreter ladder, the envelope-cached achieved tier, the
  * verify-each and -opt-bisect-limit localization aids, and the
  * AnalysisManager preservation audit. Faults are injected through
  * the TranslationHooks test seams and deliberately broken test-only
@@ -11,6 +13,8 @@
  */
 
 #include <gtest/gtest.h>
+
+#include <functional>
 
 #include "bytecode/bytecode.h"
 #include "ir/instructions.h"
@@ -208,114 +212,265 @@ class LyingPass : public FunctionPass
     const char *name() const override { return "lying-pass"; }
 };
 
+/** Counts its applications and changes nothing. */
+class CountingPass : public FunctionPass
+{
+  public:
+    explicit CountingPass(size_t &count)
+        : count_(count)
+    {}
+
+    PassResult
+    run(Function &, AnalysisManager &) override
+    {
+        ++count_;
+        return PassResult::unchanged();
+    }
+
+    const char *name() const override { return "count"; }
+
+  private:
+    size_t &count_;
+};
+
+/** What translating kProgram at -O2 with an extended pipeline did. */
+struct RungOutcome
+{
+    std::string warnings; ///< stderr printed while translating
+    uint8_t helperTier = 0;
+    uint8_t mainTier = 0;
+    Baseline run; ///< main, run on the installed translations
+};
+
+/**
+ * Translate every function of \p m on a CodeManager at -O2 whose
+ * extendPipeline hook is \p extend, capturing the rungs' warnings,
+ * then run main on what the ladder installed.
+ */
+RungOutcome
+translateAtO2(Module &m,
+              std::function<void(PassManager &, unsigned)> extend)
+{
+    CodeGenOptions opts;
+    opts.optLevel = 2;
+    CodeManager cm(*getTarget("sparc"), opts);
+    TranslationHooks hooks;
+    hooks.extendPipeline = std::move(extend);
+    cm.setHooks(hooks);
+
+    RungOutcome out;
+    testing::internal::CaptureStderr();
+    cm.translateAll(m);
+    out.warnings = testing::internal::GetCapturedStderr();
+    out.helperTier = cm.tierOf(m.getFunction("helper"));
+    out.mainTier = cm.tierOf(m.getFunction("main"));
+
+    ExecutionContext ctx(m);
+    MachineSimulator sim(ctx, cm);
+    auto r = sim.run(m.getFunction("main"));
+    EXPECT_TRUE(r.ok()) << trapKindName(r.trap);
+    out.run = {r.value.i, ctx.output()};
+    return out;
+}
+
 } // namespace
 
-// --- Pass sandbox ------------------------------------------------------
+// --- A pass failure costs its rung -------------------------------------
 
 TEST(Sandbox, ContainsThrowingPassAndRestoresIR)
 {
+    // A pass that mutates the body and then throws costs each
+    // function its -O2 rung: the rung restores its snapshot and warns
+    // with the pass, the function and the cause; -O1 is installed.
     auto m = parseProgram();
     Baseline ref = interpret(*m);
     std::string before = m->str();
-
     uint64_t contained = stats::value("passes.contained_failures");
 
-    PassManager pm;
-    pm.setSandbox(true);
-    pm.add(createMem2RegPass());
-    pm.add(std::make_unique<MutateThenThrowPass>());
-    pm.add(createInstCombinePass());
-    pm.run(*m);
+    RungOutcome o = translateAtO2(*m, [](PassManager &pm, unsigned level) {
+        if (level == 2)
+            pm.add(std::make_unique<MutateThenThrowPass>());
+    });
 
-    ASSERT_EQ(pm.containedFailures().size(), 2u); // helper + main
-    EXPECT_EQ(pm.containedFailures()[0].pass, "mutate-throw");
-    EXPECT_EQ(pm.containedFailures()[0].unit, "helper");
-    EXPECT_NE(pm.containedFailures()[0].reason.find("pass fault"),
-              std::string::npos);
+    EXPECT_NE(o.warnings.find("translating 'helper' at -O2: pass "
+                              "'mutate-throw' failed on function "
+                              "'helper': fault after mutating helper"),
+              std::string::npos)
+        << o.warnings;
     EXPECT_EQ(stats::value("passes.contained_failures"),
-              contained + 2);
-
-    // The rest of the pipeline still ran and the program still works.
-    verifyOrDie(*m);
-    Baseline after = interpret(*m);
-    EXPECT_EQ(after.value, ref.value);
-    EXPECT_EQ(after.output, ref.output);
+              contained + 2); // helper + main
+    EXPECT_EQ(o.helperTier, 1);
+    EXPECT_EQ(o.mainTier, 1);
+    EXPECT_EQ(m->str(), before);
+    EXPECT_EQ(o.run.value, ref.value);
+    EXPECT_EQ(o.run.output, ref.output);
 }
 
 TEST(Sandbox, RestoreIsByteExactWhenEveryPassFails)
 {
+    // The failing pass is in every rung's pipeline, so every rung
+    // fails and both functions end on the interpreter. Each rung's
+    // restore leaves the module identical down to value names.
     auto m = parseProgram();
+    Baseline ref = interpret(*m);
     std::string before = m->str();
+    uint64_t contained = stats::value("passes.contained_failures");
 
-    PassManager pm;
-    pm.setSandbox(true);
-    pm.add(std::make_unique<MutateThenThrowPass>());
-    pm.run(*m);
+    RungOutcome o = translateAtO2(*m, [](PassManager &pm, unsigned) {
+        pm.add(std::make_unique<MutateThenThrowPass>());
+    });
 
-    ASSERT_EQ(pm.containedFailures().size(), 2u);
-    // Only contained-and-restored passes ran: the printed module
-    // must be identical down to value names.
+    EXPECT_NE(o.warnings.find("translating 'main' at -O0: pass "
+                              "'mutate-throw' failed on function "
+                              "'main': fault after mutating main"),
+              std::string::npos)
+        << o.warnings;
+    EXPECT_EQ(stats::value("passes.contained_failures"),
+              contained + 6); // 2 functions x 3 rungs
+    EXPECT_EQ(o.helperTier, kTierInterpreter);
+    EXPECT_EQ(o.mainTier, kTierInterpreter);
     EXPECT_EQ(m->str(), before);
+    EXPECT_EQ(o.run.value, ref.value);
+    EXPECT_EQ(o.run.output, ref.output);
 }
 
 TEST(Sandbox, GrowthBudgetRollsBackBloat)
 {
     auto m = parseProgram();
+    Baseline ref = interpret(*m);
     std::string before = m->str();
+    uint64_t contained = stats::value("passes.contained_failures");
     uint64_t exceeded = stats::value("passes.budget_exceeded");
 
-    PassManager pm;
-    pm.setSandbox(true);
-    PassBudget budget;
-    budget.maxGrowth = 1.5;
-    budget.growthFloor = 4;
-    pm.setBudget(budget);
-    pm.add(std::make_unique<BloatPass>(100));
-    pm.run(*m);
+    RungOutcome o = translateAtO2(*m, [](PassManager &pm, unsigned level) {
+        if (level != 2)
+            return;
+        PassBudget budget;
+        budget.maxGrowth = 1.5;
+        budget.growthFloor = 4;
+        pm.setBudget(budget);
+        pm.add(std::make_unique<BloatPass>(100));
+    });
 
-    ASSERT_EQ(pm.containedFailures().size(), 2u);
-    EXPECT_NE(pm.containedFailures()[0].reason.find("grew"),
-              std::string::npos);
+    EXPECT_NE(o.warnings.find("translating 'helper' at -O2: pass "
+                              "'bloat' on function 'helper' exceeded "
+                              "its budget: grew"),
+              std::string::npos)
+        << o.warnings;
+    EXPECT_EQ(stats::value("passes.contained_failures"), contained + 2);
     EXPECT_EQ(stats::value("passes.budget_exceeded"), exceeded + 2);
+    EXPECT_EQ(o.helperTier, 1);
+    EXPECT_EQ(o.mainTier, 1);
     EXPECT_EQ(m->str(), before);
+    EXPECT_EQ(o.run.value, ref.value);
+    EXPECT_EQ(o.run.output, ref.output);
 }
 
 TEST(Sandbox, WallClockBudgetRollsBackSlowPass)
 {
+    // Against a zero wall-clock budget every pass is too slow, so the
+    // first application of the -O2 pipeline (mem2reg) fails its rung.
     auto m = parseProgram();
+    Baseline ref = interpret(*m);
     std::string before = m->str();
+    uint64_t contained = stats::value("passes.contained_failures");
+    uint64_t exceeded = stats::value("passes.budget_exceeded");
 
-    PassManager pm;
-    pm.setSandbox(true);
-    PassBudget budget;
-    budget.maxSeconds = 0.0; // any measurable time exceeds this
-    pm.setBudget(budget);
-    pm.add(std::make_unique<BloatPass>(2));
-    pm.run(*m);
+    RungOutcome o = translateAtO2(*m, [](PassManager &pm, unsigned level) {
+        if (level != 2)
+            return;
+        PassBudget budget;
+        budget.maxSeconds = 0.0; // any measurable time exceeds this
+        pm.setBudget(budget);
+    });
 
-    ASSERT_EQ(pm.containedFailures().size(), 2u);
-    EXPECT_NE(pm.containedFailures()[0].reason.find("wall clock"),
-              std::string::npos);
+    EXPECT_NE(o.warnings.find("translating 'helper' at -O2: pass "
+                              "'mem2reg' on function 'helper' exceeded "
+                              "its budget: "),
+              std::string::npos)
+        << o.warnings;
+    EXPECT_NE(o.warnings.find("wall clock"), std::string::npos)
+        << o.warnings;
+    EXPECT_EQ(stats::value("passes.contained_failures"), contained + 2);
+    EXPECT_EQ(stats::value("passes.budget_exceeded"), exceeded + 2);
+    EXPECT_EQ(o.helperTier, 1);
+    EXPECT_EQ(o.mainTier, 1);
     EXPECT_EQ(m->str(), before);
+    EXPECT_EQ(o.run.value, ref.value);
+    EXPECT_EQ(o.run.output, ref.output);
 }
 
 TEST(Sandbox, VerifyEachContainsIRBreakingPass)
 {
     auto m = parseProgram();
+    Baseline ref = interpret(*m);
     std::string before = m->str();
+    uint64_t contained = stats::value("passes.contained_failures");
 
-    PassManager pm;
-    pm.setSandbox(true);
-    pm.setVerifyEach(true);
-    pm.add(std::make_unique<CorruptIRPass>());
-    pm.run(*m);
+    RungOutcome o = translateAtO2(*m, [](PassManager &pm, unsigned level) {
+        if (level != 2)
+            return;
+        pm.setVerifyEach(true);
+        pm.add(std::make_unique<CorruptIRPass>());
+    });
 
-    ASSERT_EQ(pm.containedFailures().size(), 2u);
-    EXPECT_NE(
-        pm.containedFailures()[0].reason.find("verification failed"),
-        std::string::npos);
+    EXPECT_NE(o.warnings.find("translating 'helper' at -O2: "
+                              "verification failed after pass "
+                              "'corrupt-ir' on function 'helper'"),
+              std::string::npos)
+        << o.warnings;
+    EXPECT_EQ(stats::value("passes.contained_failures"), contained + 2);
+    EXPECT_EQ(o.helperTier, 1);
+    EXPECT_EQ(o.mainTier, 1);
     EXPECT_EQ(m->str(), before);
     verifyOrDie(*m);
+    EXPECT_EQ(o.run.value, ref.value);
+    EXPECT_EQ(o.run.output, ref.output);
+}
+
+TEST(Sandbox, FailedPassEndsItsRung)
+{
+    // The rung abandons its output on any failure, so the pipeline
+    // stops at the failing pass: nothing after it is applied.
+    auto m = parseProgram();
+    size_t applied = 0;
+
+    RungOutcome o =
+        translateAtO2(*m, [&applied](PassManager &pm, unsigned level) {
+            if (level != 2)
+                return;
+            pm.add(std::make_unique<MutateThenThrowPass>());
+            pm.add(std::make_unique<CountingPass>(applied));
+        });
+
+    EXPECT_EQ(applied, 0u);
+    EXPECT_EQ(o.helperTier, 1);
+    EXPECT_EQ(o.mainTier, 1);
+}
+
+TEST(Sandbox, BudgetAppliesToEveryRun)
+{
+    // Outside the translator too: a plain run fails at the first
+    // application that blows its budget.
+    auto m = parseProgram();
+    uint64_t exceeded = stats::value("passes.budget_exceeded");
+
+    PassManager pm;
+    PassBudget budget;
+    budget.maxGrowth = 1.5;
+    budget.growthFloor = 4;
+    pm.setBudget(budget);
+    pm.add(std::make_unique<BloatPass>(100));
+    try {
+        pm.run(*m);
+        FAIL() << "the budget did not fire";
+    } catch (const FatalError &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("bloat"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("helper"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("grew"), std::string::npos) << msg;
+    }
+    EXPECT_EQ(stats::value("passes.budget_exceeded"), exceeded + 1);
 }
 
 // --- Localization: -verify-each and -opt-bisect-limit ------------------

@@ -334,6 +334,35 @@ TEST(LLEE, ColdRunTranslatesWarmRunHitsCache)
     EXPECT_EQ(warm.functionsTranslatedOnline, 0u);
 }
 
+TEST(LLEE, UnverifiableModuleIsRejected)
+{
+    // %x is defined only on a branch that is not taken, yet returned:
+    // the bytecode decodes, but the verifier rejects the module. LLEE
+    // refuses it before translating, running or caching anything.
+    auto m = parseAssembly(R"(
+int %main() {
+entry:
+    br bool false, label %def, label %use
+def:
+    %x = add int 1, 2
+    br label %use
+use:
+    ret int %x
+}
+)").orDie();
+    ASSERT_FALSE(verifyModule(*m).ok());
+    auto bc = writeBytecode(*m);
+    ASSERT_TRUE(readBytecode(bc).ok());
+
+    for (const std::string &target : targetNames()) {
+        MemoryStorage storage;
+        LLEE llee(*getTarget(target), &storage);
+        EXPECT_THROW(llee.execute(bc), FatalError) << target;
+        EXPECT_THROW(llee.offlineTranslate(bc), FatalError) << target;
+        EXPECT_EQ(storage.cacheSize("llee-native-cache"), 0u) << target;
+    }
+}
+
 TEST(LLEE, WorksWithoutStorageAPI)
 {
     // "they are strictly optional and the system will operate
