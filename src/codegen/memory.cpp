@@ -1,7 +1,10 @@
 #include "codegen/memory.h"
 
 #include <algorithm>
+#include <bit>
+#include <cinttypes>
 #include <cstring>
+#include <new>
 
 #include "ir/instructions.h"
 
@@ -25,11 +28,26 @@ trapKindName(TrapKind k)
 }
 
 Memory::Memory(uint64_t size)
-    : bytes_(size, 0), size_(size)
+    : size_(size)
 {
+    LLVA_ASSERT(size > kGuardSize, "memory smaller than its guard page");
+    resetImage();
     globalBrk_ = kCodeBase + kCodeSize;
     // Reserve the top 1/4 for stacks.
     stackLimit_ = size_ - size_ / 4;
+}
+
+void
+Memory::resetImage()
+{
+    // calloc, not a zero-filled vector: a large request is served
+    // from fresh anonymous pages that are zero without being
+    // written, so only the pages a program touches are ever faulted
+    // in.
+    bytes_.reset(static_cast<uint8_t *>(std::calloc(size_, 1)));
+    if (!bytes_)
+        throw std::bad_alloc();
+    written_.assign((size_ + kPageSize * 64 - 1) / (kPageSize * 64), 0);
 }
 
 bool
@@ -38,7 +56,7 @@ Memory::load(uint64_t addr, unsigned width, uint64_t &out)
     if (!check(addr, width))
         return false;
     uint64_t v = 0;
-    std::memcpy(&v, bytes_.data() + addr, width);
+    std::memcpy(&v, bytes_.get() + addr, width);
     out = v;
     return true;
 }
@@ -48,7 +66,9 @@ Memory::store(uint64_t addr, unsigned width, uint64_t value)
 {
     if (!check(addr, width))
         return false;
-    std::memcpy(bytes_.data() + addr, &value, width);
+    std::memcpy(bytes_.get() + addr, &value, width);
+    markPage(addr / kPageSize);
+    markPage((addr + width - 1) / kPageSize);
     return true;
 }
 
@@ -59,10 +79,10 @@ Memory::loadFP(uint64_t addr, bool fp32, double &out)
         return false;
     if (fp32) {
         float f;
-        std::memcpy(&f, bytes_.data() + addr, 4);
+        std::memcpy(&f, bytes_.get() + addr, 4);
         out = f;
     } else {
-        std::memcpy(&out, bytes_.data() + addr, 8);
+        std::memcpy(&out, bytes_.get() + addr, 8);
     }
     return true;
 }
@@ -70,22 +90,27 @@ Memory::loadFP(uint64_t addr, bool fp32, double &out)
 bool
 Memory::storeFP(uint64_t addr, bool fp32, double value)
 {
-    if (!check(addr, fp32 ? 4 : 8))
+    unsigned width = fp32 ? 4 : 8;
+    if (!check(addr, width))
         return false;
     if (fp32) {
         float f = static_cast<float>(value);
-        std::memcpy(bytes_.data() + addr, &f, 4);
+        std::memcpy(bytes_.get() + addr, &f, 4);
     } else {
-        std::memcpy(bytes_.data() + addr, &value, 8);
+        std::memcpy(bytes_.get() + addr, &value, 8);
     }
+    markPage(addr / kPageSize);
+    markPage((addr + width - 1) / kPageSize);
     return true;
 }
 
 void
 Memory::writeRaw(uint64_t addr, const void *data, uint64_t n)
 {
-    LLVA_ASSERT(addr + n <= size_, "writeRaw out of range");
-    std::memcpy(bytes_.data() + addr, data, n);
+    LLVA_ASSERT(n <= size_ && addr <= size_ - n,
+                "writeRaw out of range");
+    std::memcpy(bytes_.get() + addr, data, n);
+    markWritten(addr, n);
 }
 
 std::string
@@ -108,7 +133,15 @@ Memory::allocateGlobal(uint64_t size, uint64_t align)
         align = 1;
     globalBrk_ = (globalBrk_ + align - 1) / align * align;
     uint64_t addr = globalBrk_;
-    globalBrk_ += size ? size : 1;
+    if (size == 0)
+        size = 1;
+    // Module-supplied sizes: the image must end below the stack
+    // region, compared without computing an end that may wrap.
+    if (addr > stackLimit_ || size > stackLimit_ - addr)
+        fatal("global data image of %" PRIu64 " bytes at 0x%" PRIx64
+              " does not fit below the stack region at 0x%" PRIx64,
+              size, addr, stackLimit_);
+    globalBrk_ += size;
     heapBase_ = heapBrk_ =
         (globalBrk_ + 4095) / 4096 * 4096; // heap follows globals
     return addr;
@@ -119,6 +152,12 @@ Memory::malloc(uint64_t size)
 {
     if (size == 0)
         size = 1;
+    // No block can exceed the heap's upper bound; checking first
+    // keeps the rounding below from wrapping to a tiny block.
+    if (size > stackLimit_) {
+        trap_ = TrapKind::OutOfMemory;
+        return 0;
+    }
     size = (size + 15) / 16 * 16;
 
     // First fit over the free list.
@@ -175,26 +214,30 @@ Memory::functionAt(uint64_t addr) const
 void
 Memory::serialize(ByteWriter &w) const
 {
-    constexpr uint64_t kPage = 4096;
     w.writeU64(size_);
-    // Sparse image: only pages with live data. Typical checkpoints
-    // touch a few hundred KiB of a 64 MiB space, so one scan finds
-    // the live pages and the image is written from that list. A page
-    // is all zero when its first byte is and it equals itself
-    // shifted by one byte.
+    // Sparse image: only pages with live data. Every write marks its
+    // pages in written_, so an unmarked page is still zero and is
+    // never read (reading it would fault it in). A marked page is
+    // still skipped when it is all zero, so the image is the same as
+    // a scan of every page would give: a page is all zero when its
+    // first byte is and it equals itself shifted by one byte.
     std::vector<uint64_t> live;
-    for (uint64_t p = 0; p < size_; p += kPage) {
-        const uint8_t *b = bytes_.data() + p;
-        uint64_t n = std::min(kPage, size_ - p);
-        if (b[0] || std::memcmp(b, b + 1, n - 1))
-            live.push_back(p);
+    for (uint64_t word = 0; word < written_.size(); ++word) {
+        for (uint64_t bits = written_[word]; bits; bits &= bits - 1) {
+            uint64_t page = word * 64 + std::countr_zero(bits);
+            uint64_t p = page * kPageSize;
+            const uint8_t *b = bytes_.get() + p;
+            uint64_t n = std::min(kPageSize, size_ - p);
+            if (b[0] || std::memcmp(b, b + 1, n - 1))
+                live.push_back(p);
+        }
     }
     w.writeVaruint(live.size());
     for (uint64_t p : live) {
-        uint64_t n = std::min(kPage, size_ - p);
+        uint64_t n = std::min(kPageSize, size_ - p);
         w.writeU64(p);
         w.writeVaruint(n);
-        w.writeBytes(bytes_.data() + p, n);
+        w.writeBytes(bytes_.get() + p, n);
     }
     w.writeU64(globalBrk_);
     w.writeU64(heapBase_);
@@ -223,14 +266,17 @@ Memory::restore(ByteReader &r, const Module &m)
     uint64_t size = r.readU64();
     if (size != size_)
         return false;
-    std::fill(bytes_.begin(), bytes_.end(), 0);
+    // A fresh demand-zero image, not a refill of the old one: only
+    // the pages the checkpoint carries are touched.
+    resetImage();
     uint64_t pages = r.readVaruint();
     for (uint64_t i = 0; i < pages; ++i) {
         uint64_t p = r.readU64();
         uint64_t n = r.readVaruint();
         if (n > size_ || p > size_ - n) // p + n may wrap
             return false;
-        r.readBytes(bytes_.data() + p, n);
+        r.readBytes(bytes_.get() + p, n);
+        markWritten(p, n);
     }
     globalBrk_ = r.readU64();
     heapBase_ = r.readU64();

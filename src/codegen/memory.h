@@ -8,13 +8,21 @@
  * Layout: a null guard page, a code stub region (function
  * "addresses" for indirect calls), the global data image, the heap,
  * and a downward-growing stack at the top.
+ *
+ * The image is demand-zero: its buffer comes from calloc, which the
+ * host serves from fresh zero pages, so a page costs nothing until
+ * it is touched. Every write (store, storeFP, writeRaw, restore)
+ * marks its pages in a written-page bitmap, and checkpoints visit
+ * only the marked pages.
  */
 
 #ifndef LLVA_CODEGEN_MEMORY_H
 #define LLVA_CODEGEN_MEMORY_H
 
 #include <cstdint>
+#include <cstdlib>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -57,16 +65,17 @@ class Memory
 
     // --- Unchecked raw access (for loaders/runtime) ---------------------
 
-    uint8_t *raw() { return bytes_.data(); }
     void writeRaw(uint64_t addr, const void *data, uint64_t n);
     std::string readCString(uint64_t addr, uint64_t max = 1 << 20);
 
     // --- Allocation ------------------------------------------------------
 
-    /** Bump-allocate in the global data region (image layout). */
+    /** Bump-allocate in the global data region (image layout).
+     *  fatal()s when the image would reach into the stack region. */
     uint64_t allocateGlobal(uint64_t size, uint64_t align);
 
-    /** Heap allocation with a first-fit free list. */
+    /** Heap allocation with a first-fit free list. Returns 0 when
+     *  the block does not fit. */
     uint64_t malloc(uint64_t size);
     void free(uint64_t addr);
 
@@ -85,16 +94,16 @@ class Memory
 
     /**
      * Serialize the memory image and allocator state. The byte
-     * image is written sparsely (only non-zero 4 KiB pages), and
-     * function addresses by function name — heap pointers stored in
-     * memory stay valid because the restored image reproduces the
-     * exact same address space.
+     * image is written sparsely (only non-zero 4 KiB pages, found
+     * among the written ones), and function addresses by function
+     * name — heap pointers stored in memory stay valid because the
+     * restored image reproduces the exact same address space.
      */
     void serialize(ByteWriter &w) const;
 
-    /** Rebuild from checkpoint bytes; function names are resolved
-     *  against \p m. Returns false on a size mismatch or a function
-     *  that no longer exists. */
+    /** Rebuild from checkpoint bytes into a fresh demand-zero image;
+     *  function names are resolved against \p m. Returns false on a
+     *  size mismatch or a function that no longer exists. */
     bool restore(ByteReader &r, const Module &m);
 
   private:
@@ -105,18 +114,46 @@ class Memory
             trap_ = TrapKind::NullAccess;
             return false;
         }
-        if (addr + width > size_) {
+        // addr + width may wrap; size_ - width cannot, because every
+        // image is larger than its guard page.
+        if (addr > size_ - width) {
             trap_ = TrapKind::OutOfBounds;
             return false;
         }
         return true;
     }
 
+    void
+    markPage(uint64_t page)
+    {
+        written_[page / 64] |= uint64_t(1) << (page % 64);
+    }
+
+    /** Mark the pages holding bytes [addr, addr + n). */
+    void
+    markWritten(uint64_t addr, uint64_t n)
+    {
+        if (n == 0)
+            return;
+        uint64_t last = (addr + n - 1) / kPageSize;
+        for (uint64_t p = addr / kPageSize; p <= last; ++p)
+            markPage(p);
+    }
+
+    /** A fresh all-zero image of size_ bytes and an empty bitmap. */
+    void resetImage();
+
+    static constexpr uint64_t kPageSize = 4096;
     static constexpr uint64_t kGuardSize = 4096;
     static constexpr uint64_t kCodeBase = 4096;
     static constexpr uint64_t kCodeSize = 1 << 16;
 
-    std::vector<uint8_t> bytes_;
+    struct FreeBytes
+    {
+        void operator()(uint8_t *p) const { std::free(p); }
+    };
+    std::unique_ptr<uint8_t[], FreeBytes> bytes_;
+    std::vector<uint64_t> written_; // one bit per kPageSize page
     uint64_t size_;
     uint64_t globalBrk_;
     uint64_t heapBase_ = 0;

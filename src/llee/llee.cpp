@@ -5,7 +5,6 @@
 #include "llee/mcode_io.h"
 #include "support/hashing.h"
 #include "support/statistic.h"
-#include "support/thread_pool.h"
 #include "support/timer.h"
 #include "trace/profile.h"
 #include "verifier/verifier.h"
@@ -120,15 +119,10 @@ LLEE::execute(const std::vector<uint8_t> &bytecode,
     // Adaptive reoptimization: resume from the persisted profile if
     // one survives intact in storage (a warm restart then starts
     // already knowing what is hot), and arm the promotion watermark.
-    // The single-worker pool is the dedicated translation worker the
-    // dispatch loop hands promotion jobs to.
     EdgeProfile profile;
-    std::unique_ptr<ThreadPool> promotionPool;
     if (opts_.adaptive) {
         result.profileLoaded = readProfile(bytecode, profile);
-        promotionPool = std::make_unique<ThreadPool>(1);
-        cm.setAdaptive(&profile, opts_.promoteWatermark,
-                       promotionPool.get());
+        cm.setAdaptive(&profile, opts_.promoteWatermark);
     }
 
     // Look for cached translations of every defined function. An

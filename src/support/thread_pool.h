@@ -77,22 +77,19 @@ parallelFor(size_t n, unsigned jobs,
 }
 
 /**
- * A persistent worker pool for work that arrives over time — the
- * adaptive reoptimizer's retranslation jobs, as opposed to the
- * fixed-size batches parallelFor serves. Jobs are queued and run
- * FIFO; enqueue() returns a future the caller may wait on. An
- * exception thrown by a job is captured into its future, never lost.
+ * A persistent worker pool for work that arrives over time, as
+ * opposed to the fixed-size batches parallelFor serves. Jobs are
+ * queued and run FIFO; enqueue() returns a future the caller may
+ * wait on. An exception thrown by a job is captured into its future,
+ * never lost. Workers start on the first enqueue(), so a pool that
+ * is never given work costs no thread.
  */
 class ThreadPool
 {
   public:
     explicit ThreadPool(unsigned workers = 1)
-    {
-        if (workers == 0)
-            workers = 1;
-        for (unsigned i = 0; i < workers; ++i)
-            threads_.emplace_back([this] { work(); });
-    }
+        : workers_(workers ? workers : 1)
+    {}
 
     ~ThreadPool()
     {
@@ -117,6 +114,8 @@ class ThreadPool
         {
             std::lock_guard<std::mutex> lock(mu_);
             queue_.push_back([task] { (*task)(); });
+            while (threads_.size() < workers_)
+                threads_.emplace_back([this] { work(); });
         }
         cv_.notify_one();
         return result;
@@ -145,6 +144,7 @@ class ThreadPool
     std::condition_variable cv_;
     std::deque<std::function<void()>> queue_;
     std::vector<std::thread> threads_;
+    unsigned workers_;
     bool stop_ = false;
 };
 

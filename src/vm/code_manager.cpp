@@ -410,13 +410,12 @@ CodeManager::markInterpreted(const Function *f)
 
 void
 CodeManager::setAdaptive(EdgeProfile *profile, uint64_t watermark,
-                         ThreadPool *pool)
+                         ThreadPool *)
 {
     std::unique_lock<std::shared_mutex> lock(mu_);
     std::lock_guard<std::mutex> plock(profileMu_);
     profile_ = profile;
     watermark_ = watermark;
-    pool_ = pool;
 }
 
 void
@@ -468,18 +467,8 @@ CodeManager::maybePromote(const Function *f)
     // not be retried on every subsequent profile event.
     promoteAttempted_.insert(f);
 
-    Function &fn = *const_cast<Function *>(f);
-    Translation t;
-    if (pool_) {
-        // The job runs on the pool's dedicated worker while this
-        // thread blocks: passes intern constants through the shared
-        // module, so translation must never overlap other pipeline
-        // work. The pool decouples promotion from the dispatch loop
-        // without introducing a data race.
-        pool_->enqueue([&] { t = translateRung(fn, kTierTrace); }).get();
-    } else {
-        t = translateRung(fn, kTierTrace);
-    }
+    Translation t =
+        translateRung(*const_cast<Function *>(f), kTierTrace);
 
     if (!t.mf) {
         ++promotionFailures_;

@@ -256,14 +256,14 @@ class CodeManager
 
     /**
      * Attach a runtime profile and arm the hotness watermark. \p
-     * pool, when non-null, runs promotion jobs (the caller blocks on
-     * the result — passes intern constants through the shared
-     * module, so translation work must never overlap other pipeline
-     * activity; the pool buys a dedicated, warm worker, not
-     * concurrency). \p profile must outlive this manager.
+     * profile must outlive this manager. Promotion runs on the
+     * thread that crosses the watermark, under the exclusive lock:
+     * passes intern constants through the shared module, so
+     * translation never overlaps other pipeline work. The ThreadPool
+     * parameter is unused and kept only for existing callers.
      */
     void setAdaptive(EdgeProfile *profile, uint64_t watermark,
-                     ThreadPool *pool = nullptr);
+                     ThreadPool * = nullptr);
 
     /**
      * Promote \p f to the trace tier if its profiled sample count
@@ -415,7 +415,6 @@ class CodeManager
     mutable std::mutex profileMu_; ///< guards *profile_ contents
     EdgeProfile *profile_ = nullptr;
     uint64_t watermark_ = 0;
-    ThreadPool *pool_ = nullptr;
     std::set<BlockId> traceHeads_;
     std::set<const Function *> promoteAttempted_;
 

@@ -116,6 +116,10 @@ ExecutionContext::takeInvalidations()
 uint64_t
 ExecutionContext::poolAlloc(uint64_t pool_addr, uint64_t size)
 {
+    // Like Memory::malloc: a size no heap can hold fails before the
+    // rounding below can wrap it to an empty object.
+    if (size > mem_.stackLimit())
+        return 0;
     PoolState &pool = pools_[pool_addr];
     size = (size + 15) / 16 * 16;
     if (pool.chunkUsed + size > pool.chunkSize) {

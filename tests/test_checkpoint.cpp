@@ -12,6 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdlib>
+#include <fstream>
+
 #include "bytecode/bytecode.h"
 #include "llee/checkpoint.h"
 #include "llee/envelope.h"
@@ -125,6 +130,34 @@ uint64_t
 hashOf(const Module &m)
 {
     return fnv1a(writeBytecode(m));
+}
+
+/** The page addresses in a memory image, in image order. */
+std::vector<uint64_t>
+imagePages(const Memory &mem)
+{
+    ByteWriter w;
+    mem.serialize(w);
+    ByteReader r(w.bytes());
+    EXPECT_EQ(r.readU64(), mem.size());
+    std::vector<uint64_t> pages(r.readVaruint());
+    std::vector<uint8_t> bytes;
+    for (uint64_t &p : pages) {
+        p = r.readU64();
+        bytes.resize(r.readVaruint());
+        r.readBytes(bytes.data(), bytes.size());
+    }
+    return pages;
+}
+
+/** Resident memory of this process, in bytes (Linux only). */
+uint64_t
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    uint64_t total = 0, resident = 0;
+    statm >> total >> resident;
+    return resident * static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
 }
 
 } // namespace
@@ -384,6 +417,116 @@ TEST(Checkpoint, MemoryRestoreRejectsAWrappingPageRecord)
     w.writeBytes(page.data(), page.size());
     ByteReader r(w.bytes());
     EXPECT_FALSE(mem.restore(r, *m));
+}
+
+TEST(Checkpoint, MemoryStoreStraddlingAPageBoundaryImagesBothPages)
+{
+    Memory mem;
+    ASSERT_TRUE(mem.store(0x20000 - 4, 8, 0x1122334455667788ull));
+    ASSERT_TRUE(mem.storeFP(0x22000 - 4, false, 0.1)); // no zero half
+    EXPECT_EQ(imagePages(mem),
+              (std::vector<uint64_t>{0x1f000, 0x20000, 0x21000,
+                                     0x22000}));
+}
+
+TEST(Checkpoint, MemoryPageWrittenOnlyWithZerosIsNotImaged)
+{
+    Memory mem;
+    ASSERT_TRUE(mem.store(0x30000, 8, 0));
+    ASSERT_TRUE(mem.storeFP(0x30100, false, 0.0));
+    EXPECT_TRUE(imagePages(mem).empty());
+    ASSERT_TRUE(mem.store(0x30200, 1, 7));
+    EXPECT_EQ(imagePages(mem), std::vector<uint64_t>{0x30000});
+}
+
+TEST(Checkpoint, MemoryMultiPageWriteRawImagesEveryPage)
+{
+    // [0x40800, 0x42800): half of the first and last page, all of
+    // the one between.
+    Memory mem;
+    const std::vector<uint8_t> data(0x2000, 0xab);
+    mem.writeRaw(0x40800, data.data(), data.size());
+    EXPECT_EQ(imagePages(mem),
+              (std::vector<uint64_t>{0x40000, 0x41000, 0x42000}));
+}
+
+TEST(Checkpoint, MemoryRestoreZeroesPagesTheImageDoesNotCarry)
+{
+    auto m = parseAssembly(kPhases).orDie();
+    Memory src;
+    ASSERT_TRUE(src.store(0x50000, 8, 42));
+    ByteWriter w;
+    src.serialize(w);
+
+    // The restoring memory was dirtied at other pages first.
+    Memory dst;
+    ASSERT_TRUE(dst.store(0x60000, 8, 99));
+    const std::vector<uint8_t> junk(0x1800, 0xcd);
+    dst.writeRaw(0x70400, junk.data(), junk.size());
+    ByteReader r(w.bytes());
+    ASSERT_TRUE(dst.restore(r, *m));
+
+    uint64_t v = 1;
+    for (uint64_t addr : {0x60000ull, 0x70400ull, 0x71000ull}) {
+        ASSERT_TRUE(dst.load(addr, 8, v));
+        EXPECT_EQ(v, 0u) << std::hex << addr;
+    }
+    ASSERT_TRUE(dst.load(0x50000, 8, v));
+    EXPECT_EQ(v, 42u);
+    EXPECT_EQ(imagePages(dst), std::vector<uint64_t>{0x50000});
+}
+
+TEST(Checkpoint, MemoryImageRoundTripsByteIdentical)
+{
+    // A real image: globals, a heap array and function addresses.
+    auto m = parseAssembly(kPhases).orDie();
+    verifyOrDie(*m);
+    ExecutionContext ctx(*m);
+    CodeManager cm(*getTarget("x86"));
+    MachineSimulator sim(ctx, cm);
+    ASSERT_TRUE(sim.run(m->getFunction("init"), {RtValue::ofInt(100)})
+                    .ok());
+    ASSERT_FALSE(imagePages(ctx.memory()).empty());
+
+    ByteWriter first;
+    ctx.memory().serialize(first);
+    Memory restored;
+    ByteReader r(first.bytes());
+    ASSERT_TRUE(restored.restore(r, *m));
+    ByteWriter second;
+    restored.serialize(second);
+    EXPECT_EQ(first.bytes(), second.bytes());
+}
+
+TEST(Checkpoint, MemoryLiveContextsCostOnlyTheirWrittenPages)
+{
+#ifndef __linux__
+    GTEST_SKIP() << "reads resident memory from /proc/self/statm";
+#endif
+    // Four live 64 MiB contexts, each with its globals laid out: the
+    // image is demand-zero, so together they stay resident well
+    // under the size of one.
+    const uint64_t kImage = 64ull << 20;
+    {
+        // The image is only as lazy as the host's calloc: one that
+        // writes every page (ThreadSanitizer's does) leaves nothing
+        // to check.
+        const uint64_t before = residentBytes();
+        std::unique_ptr<void, void (*)(void *)> probe(
+            std::calloc(kImage, 1), std::free);
+        const uint64_t probed = residentBytes();
+        if (probed > before && probed - before > kImage / 2)
+            GTEST_SKIP() << "this host's calloc writes every page";
+    }
+    auto m = parseAssembly(kPhases).orDie();
+    verifyOrDie(*m);
+    const uint64_t before = residentBytes();
+    std::vector<std::unique_ptr<ExecutionContext>> contexts;
+    for (int i = 0; i < 4; ++i)
+        contexts.push_back(std::make_unique<ExecutionContext>(*m));
+    ASSERT_EQ(contexts.front()->memory().size(), kImage);
+    const uint64_t after = residentBytes();
+    EXPECT_LT(after - std::min(after, before), kImage);
 }
 
 TEST(Checkpoint, SuspendedActivationRoundTrips)

@@ -110,6 +110,26 @@ entry:
     EXPECT_EQ(simulate(*m, "sparc").trap, TrapKind::NullAccess);
 }
 
+TEST(Exceptions, AccessWrappingPastTheTopTraps)
+{
+    // 2^64 - 4 + 8 wraps to 4: the bounds check must not compute
+    // the end address, or the access lands before the host buffer.
+    auto m = parseAssembly(R"(
+int %main() {
+entry:
+    %p = cast long -4 to long*
+    store long 1234605616436508552, long* %p
+    %v = load long* %p
+    %r = cast long %v to int
+    ret int %r
+}
+)").orDie();
+    verifyOrDie(*m);
+    EXPECT_EQ(interpret(*m).trap, TrapKind::OutOfBounds);
+    for (const std::string &t : targetNames())
+        EXPECT_EQ(simulate(*m, t).trap, TrapKind::OutOfBounds) << t;
+}
+
 TEST(Exceptions, NullStoreIgnoredWhenDisabled)
 {
     auto m = parseAssembly(R"(

@@ -394,6 +394,56 @@ done:
               285);
 }
 
+TEST(Execution, HugeAllocationFailsInsteadOfWrapping)
+{
+    // Rounding 2^64 - 1 up to 16 bytes wraps to 0: the request must
+    // fail (return 0) rather than hand out an empty block that the
+    // next allocation aliases, from malloc and from a pool alike.
+    // One bit per check: 1 huge malloc failed, 2 the next one was
+    // served, 4 huge pool allocation failed, 8 the next one was
+    // served past the pool's first object.
+    auto m = parseAssembly(R"(
+%pool = global ulong 0
+declare ubyte* %malloc(ulong %n)
+declare ubyte* %llva.poolalloc(ulong* %pool, ulong %n)
+int %main() {
+entry:
+    %huge = call ubyte* %malloc(ulong 18446744073709551615)
+    %next = call ubyte* %malloc(ulong 16)
+    %first = call ubyte* %llva.poolalloc(ulong* %pool, ulong 16)
+    %phuge = call ubyte* %llva.poolalloc(ulong* %pool, ulong 18446744073709551615)
+    %pnext = call ubyte* %llva.poolalloc(ulong* %pool, ulong 16)
+    %h = cast ubyte* %huge to ulong
+    %n = cast ubyte* %next to ulong
+    %f = cast ubyte* %first to ulong
+    %ph = cast ubyte* %phuge to ulong
+    %pn = cast ubyte* %pnext to ulong
+    %c1 = seteq ulong %h, 0
+    %c2 = setne ulong %n, 0
+    %c4 = seteq ulong %ph, 0
+    %c8 = setgt ulong %pn, %f
+    %b1 = cast bool %c1 to int
+    %b2 = cast bool %c2 to int
+    %b4 = cast bool %c4 to int
+    %b8 = cast bool %c8 to int
+    %w2 = mul int %b2, 2
+    %w4 = mul int %b4, 4
+    %w8 = mul int %b8, 8
+    %s1 = add int %b1, %w2
+    %s2 = add int %s1, %w4
+    %r = add int %s2, %w8
+    ret int %r
+}
+)").orDie();
+    verifyOrDie(*m);
+    EXPECT_EQ(interpret(*m).value, 15);
+    for (const std::string &t : targetNames()) {
+        RunOutcome r = simulate(*m, t);
+        EXPECT_TRUE(r.ok) << t;
+        EXPECT_EQ(r.value, 15) << t;
+    }
+}
+
 TEST(Execution, JITTranslatesOnDemandOnly)
 {
     auto m = parseAssembly(R"(

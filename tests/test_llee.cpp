@@ -363,6 +363,32 @@ use:
     }
 }
 
+TEST(LLEE, OversizedGlobalImageIsRejected)
+{
+    // The globals do not fit below the 64 MiB context's stack region:
+    // laying them out is a FatalError, like unverifiable bytecode,
+    // not an abort when the string initializer is written past the
+    // end of memory.
+    auto m = parseAssembly(R"(
+%big = global [70000000 x ubyte] zeroinitializer
+%msg = global [3 x sbyte] c"hi\00"
+int %main() {
+entry:
+    ret int 0
+}
+)").orDie();
+    verifyOrDie(*m);
+    EXPECT_THROW(ExecutionContext ctx(*m), FatalError);
+    auto bc = writeBytecode(*m);
+
+    for (const std::string &target : targetNames()) {
+        MemoryStorage storage;
+        LLEE llee(*getTarget(target), &storage);
+        EXPECT_THROW(llee.execute(bc), FatalError) << target;
+        EXPECT_EQ(storage.cacheSize("llee-native-cache"), 0u) << target;
+    }
+}
+
 TEST(LLEE, WorksWithoutStorageAPI)
 {
     // "they are strictly optional and the system will operate

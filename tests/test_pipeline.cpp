@@ -349,3 +349,18 @@ TEST(Pipeline, ParallelForPropagatesExceptions)
                              }),
                  FatalError);
 }
+
+TEST(Pipeline, ThreadPoolRunsJobsOnItsWorker)
+{
+    // Workers start on the first enqueue: a pool given no work is
+    // destroyed without one.
+    {
+        ThreadPool idle(2);
+    }
+    ThreadPool pool(1);
+    std::thread::id ran;
+    pool.enqueue([&] { ran = std::this_thread::get_id(); }).get();
+    EXPECT_NE(ran, std::this_thread::get_id());
+    auto failed = pool.enqueue([] { throw FatalError("boom"); });
+    EXPECT_THROW(failed.get(), FatalError);
+}
