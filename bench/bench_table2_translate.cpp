@@ -25,9 +25,8 @@ main(int argc, char **argv)
     std::printf("Table 2 (translation cost): JIT translate vs run "
                 "time\n");
     hr('=');
-    std::printf("%-18s %12s %12s %8s %12s %9s\n", "Program",
-                "Translate(s)", "Par j4 (s)", "speedup", "Run(s)",
-                "ratio");
+    std::printf("%-18s %12s %12s %9s\n", "Program", "Translate(s)",
+                "Run(s)", "ratio");
     hr();
 
     stats::reset();
@@ -45,22 +44,13 @@ main(int argc, char **argv)
         CodeGenOptions opts;
         opts.allocator = CodeGenOptions::Allocator::Local;
 
-        // Median-of-5 wall-clock translation time, serial and on
-        // the 4-worker pipeline (byte-identical output).
-        double best = 1e18, best_par = 1e18;
+        // Best-of-5 wall-clock translation time.
+        double best = 1e18;
         for (int rep = 0; rep < 5; ++rep) {
-            {
-                CodeManager cm(target, opts);
-                Timer t;
-                cm.translateAll(*m);
-                best = std::min(best, t.seconds());
-            }
-            {
-                CodeManager cm(target, opts);
-                Timer t;
-                cm.translateAll(*m, 4);
-                best_par = std::min(best_par, t.seconds());
-            }
+            CodeManager cm(target, opts);
+            Timer t;
+            cm.translateAll(*m);
+            best = std::min(best, t.seconds());
         }
 
         CodeManager cm(target, opts);
@@ -74,17 +64,12 @@ main(int argc, char **argv)
             static_cast<double>(sim.instructionsExecuted()) /
             kSimHz;
 
-        std::printf("%-18s %12.6f %12.6f %7.2fx %12.6f %9.3f\n",
-                    info.name.c_str(), best, best_par,
-                    best_par > 0 ? best / best_par : 0.0,
-                    run_seconds,
+        std::printf("%-18s %12.6f %12.6f %9.3f\n", info.name.c_str(),
+                    best, run_seconds,
                     run_seconds > 0 ? best / run_seconds : 0.0);
         report.beginRow()
             .field("program", info.name)
             .field("translate_s", best)
-            .field("translate_par4_s", best_par)
-            .field("parallel_speedup",
-                   best_par > 0 ? best / best_par : 0.0)
             .field("run_s", run_seconds)
             .field("translate_run_ratio",
                    run_seconds > 0 ? best / run_seconds : 0.0);

@@ -75,6 +75,15 @@ LLEE::LLEE(Target &target, StorageAPI *storage, CodeGenOptions opts)
         ++NumStorageFailures;
 }
 
+const Function *
+LLEE::entryFunction(const Module &m, const std::string &name)
+{
+    const Function *f = m.getFunction(name);
+    if (!f || f->isDeclaration())
+        fatal("LLEE: no entry function %%%s", name.c_str());
+    return f;
+}
+
 std::string
 LLEE::programKey(const std::vector<uint8_t> &bytecode)
 {
@@ -112,6 +121,7 @@ LLEE::execute(const std::vector<uint8_t> &bytecode,
     // before anything is translated, run or cached.
     std::unique_ptr<Module> m = readBytecode(bytecode).orDie();
     verifyOrDie(*m);
+    const Function *entry_fn = entryFunction(*m, entry);
 
     CodeManager cm(target_, opts_);
     cm.setHooks(hooks_);
@@ -130,8 +140,7 @@ LLEE::execute(const std::vector<uint8_t> &bytecode,
     // boundary: integrity envelope (checksum + compatibility key),
     // structural decode, and validation against the current module.
     // Anything less is evicted and counted, and execution proceeds
-    // as a plain cache miss.
-    std::vector<const Function *> missing;
+    // as a plain cache miss, translated when it is first called.
     std::map<const Function *, uint8_t> loadedTier;
     for (const auto &f : m->functions()) {
         if (f->isDeclaration())
@@ -189,26 +198,14 @@ LLEE::execute(const std::vector<uint8_t> &bytecode,
         if (!installed) {
             ++result.cacheMisses;
             ++NumCacheMisses;
-            missing.push_back(f.get());
         }
     }
-
-    // With multiple workers, translate all cache misses eagerly
-    // before execution starts (batch "online translation"); serially
-    // we keep the lazy on-demand JIT behaviour, where unused code is
-    // never translated.
-    if (jobs_ > 1)
-        cm.translate(missing, jobs_);
 
     ExecutionContext ctx(*m);
     MachineSimulator sim(ctx, cm);
     sim.setProfileSampleInterval(sampleInterval_);
     if (opts_.adaptive)
         sim.setProfile(&profile);
-
-    const Function *entry_fn = m->getFunction(entry);
-    if (!entry_fn || entry_fn->isDeclaration())
-        fatal("LLEE: no entry function %%%s", entry.c_str());
 
     result.exec = sim.run(entry_fn, args);
     result.output = ctx.output();
@@ -291,12 +288,10 @@ LLEE::offlineTranslate(const std::vector<uint8_t> &bytecode)
 
     CodeManager cm(target_, opts_);
     cm.setHooks(hooks_);
-    cm.translate(pending, jobs_);
-
-    // Serial write-back in module order: storage sees the same
-    // sequence of writes whether translation ran on 1 thread or N.
-    for (size_t i = 0; i < pending.size(); ++i)
+    for (size_t i = 0; i < pending.size(); ++i) {
+        cm.get(pending[i]);
         writeEntry(cm, pending[i], names[i], moduleHash, EdgeProfile{});
+    }
     NumOfflineTranslations += pending.size();
     return pending.size();
 }

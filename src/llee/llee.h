@@ -73,14 +73,6 @@ class LLEE
     LLEE(Target &target, StorageAPI *storage,
          CodeGenOptions opts = {});
 
-    /**
-     * Worker threads for translation (default 1 = serial). Parallel
-     * and serial translation produce byte-identical machine code;
-     * only the wall-clock cost changes.
-     */
-    void setJobs(unsigned jobs) { jobs_ = jobs ? jobs : 1; }
-    unsigned jobs() const { return jobs_; }
-
     /** Sampled profiling: record every Nth block event with weight
      *  N (1 = exact counting). See MachineSimulator. */
     void setProfileSampleInterval(uint64_t n)
@@ -122,6 +114,11 @@ class LLEE
     bool readProfile(const std::vector<uint8_t> &bytecode,
                      EdgeProfile &profile);
 
+    /** The function \p name that a run of \p m starts in: it must be
+     *  defined in \p m, else the run is a FatalError. */
+    static const Function *entryFunction(const Module &m,
+                                         const std::string &name);
+
     /** Cache key prefix for a program (content hash). */
     static std::string programKey(const std::vector<uint8_t> &bytecode);
 
@@ -158,7 +155,6 @@ class LLEE
     StorageAPI *storage_;
     CodeGenOptions opts_;
     TranslationHooks hooks_;
-    unsigned jobs_ = 1;
     uint64_t sampleInterval_ = 1;
 };
 

@@ -6,7 +6,6 @@
 #include "analysis/analysis_manager.h"
 #include "ir/clone.h"
 #include "support/statistic.h"
-#include "support/thread_pool.h"
 #include "support/timer.h"
 
 namespace llva {
@@ -91,33 +90,28 @@ CodeManager::tierLocked(const Function *f) const
 const ChainedFunction *
 CodeManager::translateWithLadder(Function &f)
 {
-    unsigned level = opts_.optLevel;
-    while (!settleRung(f, level, translateRung(f, level)))
-        --level;
-    return *entryLocked(&f);
-}
-
-bool
-CodeManager::settleRung(const Function &f, unsigned level,
-                        Translation t)
-{
-    if (t.mf) {
-        countTranslation(t);
-        installLocked(&f, std::move(t.mf), static_cast<uint8_t>(level));
-        return true;
+    for (unsigned level = opts_.optLevel;; --level) {
+        Translation t = translateRung(f, level);
+        if (t.mf) {
+            countTranslation(t);
+            installLocked(&f, std::move(t.mf),
+                          static_cast<uint8_t>(level));
+            break;
+        }
+        // This rung failed; drop one level (or fall off the end).
+        ++tierDowngrades_;
+        ++NumTierDowngrades;
+        warn("translation of '%s' failed at -O%u; %s", f.name().c_str(),
+             level,
+             level > 0 ? "retrying one tier lower"
+                       : "falling back to the interpreter");
+        if (level == 0) {
+            ++NumInterpFallbacks;
+            installLocked(&f, nullptr, kTierInterpreter);
+            break;
+        }
     }
-    // This rung failed; drop one level (or fall off the end).
-    ++tierDowngrades_;
-    ++NumTierDowngrades;
-    warn("translation of '%s' failed at -O%u; %s", f.name().c_str(),
-         level,
-         level > 0 ? "retrying one tier lower"
-                   : "falling back to the interpreter");
-    if (level > 0)
-        return false;
-    ++NumInterpFallbacks;
-    installLocked(&f, nullptr, kTierInterpreter);
-    return true;
+    return *entryLocked(&f);
 }
 
 CodeManager::Translation
@@ -130,8 +124,7 @@ CodeManager::translateRung(Function &f, unsigned tier)
     // The snapshot is the rung's one restore point: any failure on
     // the way (a pass fault, a blown budget, broken IR, a trace or
     // codegen fault) abandons the rung. Plain -O0 changes nothing, so
-    // it skips the snapshot and touches no shared state: the parallel
-    // batch runs it on worker threads.
+    // it skips the snapshot.
     Timer timer;
     Translation t;
     const bool traces = tier == kTierTrace;
@@ -212,8 +205,7 @@ CodeManager::layOutTraces(Function &f)
 void
 CodeManager::countTranslation(const Translation &t)
 {
-    // Aggregate translator time: the sum of per-function costs, not
-    // elapsed wall time (the parallel batch counts the same way).
+    // Aggregate translator time: the sum of per-function costs.
     seconds_ += t.seconds;
     ++translated_;
     stats_ += t.stats;
@@ -346,51 +338,12 @@ CodeManager::replaceFunctionLive(const Function *f)
     return c ? c->function() : nullptr;
 }
 
-size_t
-CodeManager::translate(const std::vector<const Function *> &fns,
-                       unsigned jobs)
-{
-    std::vector<const Function *> work;
-    {
-        std::shared_lock<std::shared_mutex> lock(mu_);
-        for (const Function *f : fns)
-            if (f && !f->isDeclaration() && !entryLocked(f))
-                work.push_back(f);
-    }
-    if (work.empty())
-        return 0;
-
-    // Tiered translation optimizes bodies in place and interns
-    // constants through the shared module: not re-entrant. Run the
-    // ladder serially instead of the parallel fast path.
-    if (opts_.optLevel > 0 || hooks_) {
-        for (const Function *f : work)
-            get(f);
-        return work.size();
-    }
-
-    // Workers run the -O0 rung into index-addressed slots; nothing
-    // shared is mutated until the serial loop below settles them in
-    // input order, exactly as the ladder settles its last rung.
-    std::vector<Translation> results(work.size());
-    parallelFor(work.size(), jobs, [&](size_t i) {
-        results[i] = translateRung(*const_cast<Function *>(work[i]), 0);
-    });
-
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    for (size_t i = 0; i < work.size(); ++i)
-        settleRung(*work[i], 0, std::move(results[i]));
-    return work.size();
-}
-
 void
-CodeManager::translateAll(const Module &m, unsigned jobs)
+CodeManager::translateAll(const Module &m)
 {
-    std::vector<const Function *> fns;
     for (const auto &f : m.functions())
         if (!f->isDeclaration())
-            fns.push_back(f.get());
-    translate(fns, jobs);
+            get(f.get());
 }
 
 void

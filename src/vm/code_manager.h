@@ -72,12 +72,13 @@
 
 #include "codegen/codegen.h"
 #include "llee/envelope.h"
-#include "support/thread_pool.h"
 #include "trace/trace.h"
 #include "transforms/pass.h"
 #include "vm/chain.h"
 
 namespace llva {
+
+class ThreadPool;
 
 /**
  * Test seams into the per-tier translation pipeline (mirrors the
@@ -162,23 +163,9 @@ class CodeManager
      */
     const MachineFunction *replaceFunctionLive(const Function *f);
 
-    /**
-     * Translate every not-yet-cached function in \p fns on up to
-     * \p jobs threads. Declarations and cached entries are skipped.
-     * Each translation is an independent, re-entrant unit; results
-     * are installed serially in input order afterwards, so the
-     * cache contents (and all downstream byte output) are identical
-     * for any \p jobs. Returns the number translated.
-     *
-     * With an optimization level (or hooks) set, translation
-     * optimizes function bodies in place and is forced serial —
-     * passes intern constants through the shared module.
-     */
-    size_t translate(const std::vector<const Function *> &fns,
-                     unsigned jobs = 1);
-
-    /** Eagerly translate every defined function in \p m. */
-    void translateAll(const Module &m, unsigned jobs = 1);
+    /** Eagerly translate every defined function in \p m that is
+     *  not cached yet, each as get() would, in module order. */
+    void translateAll(const Module &m);
 
     /**
      * Install an externally produced translation (LLEE cache,
@@ -260,7 +247,8 @@ class CodeManager
      * thread that crosses the watermark, under the exclusive lock:
      * passes intern constants through the shared module, so
      * translation never overlaps other pipeline work. The ThreadPool
-     * parameter is unused and kept only for existing callers.
+     * parameter is unused; it stays only because perfbench still
+     * passes one.
      */
     void setAdaptive(EdgeProfile *profile, uint64_t watermark,
                      ThreadPool * = nullptr);
@@ -335,9 +323,11 @@ class CodeManager
         double seconds = 0;
     };
 
-    /** Walk the ladder from opts_.optLevel down; installs the result
-     *  or pins \p f to the interpreter. Returns the installed entry
-     *  (nullptr when pinned). Caller holds mu_ exclusively. */
+    /** Walk the ladder from opts_.optLevel down: install the first
+     *  rung's body that succeeds at its tier, counting and warning
+     *  about each abandoned rung, or pin \p f to the interpreter when
+     *  -O0 fails too. Returns the installed entry (nullptr when
+     *  pinned). Caller holds mu_ exclusively. */
     const ChainedFunction *translateWithLadder(Function &f);
 
     /**
@@ -347,23 +337,14 @@ class CodeManager
      * traces from the attached profile and lay them out when
      * promoting, then codegen, and restore the snapshot. Any failure
      * on the way is warned about with its cause and yields no body.
-     * The function body is left exactly as found. At -O0 without
-     * hooks it touches no shared state; otherwise the caller holds
-     * mu_ exclusively.
+     * The function body is left exactly as found. Caller holds mu_
+     * exclusively.
      */
     Translation translateRung(Function &f, unsigned tier);
 
     /** Promotion's step of the rung: form traces from the attached
      *  profile and apply trace-first layout to \p f. */
     void layOutTraces(Function &f);
-
-    /**
-     * Settle the outcome of ladder rung \p level: install its body
-     * at that tier, or abandon the rung (counted and warned about)
-     * and, when it was the last (-O0), pin \p f to the interpreter.
-     * Returns whether the ladder ends here.
-     */
-    bool settleRung(const Function &f, unsigned level, Translation t);
 
     // The following helpers assume mu_ is held (shared suffices for
     // the const ones, exclusive for the rest).

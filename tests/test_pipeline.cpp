@@ -2,26 +2,19 @@
  * @file
  * Staged-pipeline tests: AnalysisManager caching and invalidation
  * driven through the PassManager (observed via the statistics
- * registry), deterministic parallel translation (byte-identical to
- * serial for any worker count), parallel offline translation, and
- * the pass/stage observability surface (-time-passes, -stats).
+ * registry), and the pass/stage observability surface
+ * (-time-passes, -stats).
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-
 #include "analysis/analysis_manager.h"
-#include "bytecode/bytecode.h"
 #include "codegen/codegen.h"
-#include "llee/llee.h"
-#include "llee/mcode_io.h"
 #include "parser/parser.h"
 #include "support/statistic.h"
-#include "support/thread_pool.h"
 #include "transforms/pass.h"
 #include "verifier/verifier.h"
-#include "vm/machine_sim.h"
+#include "vm/code_manager.h"
 #include "workloads/workloads.h"
 
 using namespace llva;
@@ -212,155 +205,4 @@ TEST(Pipeline, StatsReportNamesPipelineCounters)
               std::string::npos);
     EXPECT_NE(report.find("translate.isel"), std::string::npos);
     EXPECT_NE(report.find("translate.regalloc"), std::string::npos);
-}
-
-TEST(Pipeline, ParallelTranslationIsByteIdentical)
-{
-    // The acceptance bar for the threaded pipeline: for every
-    // function, `-j 4` must produce the same machine code, byte for
-    // byte, as serial translation. Several functions so the work
-    // actually gets distributed across workers.
-    std::string src;
-    for (int i = 0; i < 8; ++i) {
-        std::string n = std::to_string(i);
-        src += "int %fn" + n + "(int %x) {\n"
-               "entry:\n"
-               "    %a = mul int %x, " + std::to_string(i + 2) + "\n"
-               "    %c = setgt int %a, 10\n"
-               "    br bool %c, label %big, label %small\n"
-               "big:\n"
-               "    %b = add int %a, " + n + "\n"
-               "    ret int %b\n"
-               "small:\n"
-               "    ret int %a\n"
-               "}\n";
-    }
-    auto m = parseAssembly(src).orDie();
-    verifyOrDie(*m);
-    Target &t = *getTarget("x86");
-
-    CodeManager serial(t), parallel(t);
-    serial.translateAll(*m);
-    parallel.translateAll(*m, 4);
-
-    size_t compared = 0;
-    for (const auto &f : m->functions()) {
-        if (f->isDeclaration())
-            continue;
-        ASSERT_TRUE(parallel.has(f.get())) << f->name();
-        EXPECT_EQ(writeMachineFunction(*parallel.get(f.get())),
-                  writeMachineFunction(*serial.get(f.get())))
-            << f->name();
-        EXPECT_EQ(encodeFunction(*parallel.get(f.get()), t),
-                  encodeFunction(*serial.get(f.get()), t))
-            << f->name();
-        ++compared;
-    }
-    EXPECT_GT(compared, 1u);
-    EXPECT_EQ(parallel.functionsTranslated(),
-              serial.functionsTranslated());
-}
-
-TEST(Pipeline, ParallelTranslationRunsCorrectly)
-{
-    auto m = buildWorkload("ptrdist-anagram");
-    Target &t = *getTarget("sparc");
-
-    CodeManager serial(t), parallel(t);
-    serial.translateAll(*m);
-    parallel.translateAll(*m, 4);
-
-    ExecutionContext ctx1(*m);
-    MachineSimulator sim1(ctx1, serial);
-    auto r1 = sim1.run(m->getFunction("main"));
-    ExecutionContext ctx2(*m);
-    MachineSimulator sim2(ctx2, parallel);
-    auto r2 = sim2.run(m->getFunction("main"));
-    ASSERT_TRUE(r1.ok());
-    ASSERT_TRUE(r2.ok());
-    EXPECT_EQ(r1.value.i, r2.value.i);
-    EXPECT_EQ(ctx1.output(), ctx2.output());
-    EXPECT_EQ(sim1.instructionsExecuted(),
-              sim2.instructionsExecuted());
-}
-
-TEST(Pipeline, ParallelOfflineTranslationMatchesSerial)
-{
-    auto m = buildWorkload("ptrdist-anagram");
-    auto bc = writeBytecode(*m);
-
-    MemoryStorage s1, s2;
-    LLEE serial(*getTarget("x86"), &s1);
-    LLEE threaded(*getTarget("x86"), &s2);
-    threaded.setJobs(4);
-
-    size_t n1 = serial.offlineTranslate(bc);
-    size_t n2 = threaded.offlineTranslate(bc);
-    EXPECT_EQ(n1, n2);
-    EXPECT_GT(n1, 0u);
-
-    // The caches must hold identical artifacts under identical keys.
-    auto keys1 = s1.list("llee-native-cache");
-    auto keys2 = s2.list("llee-native-cache");
-    ASSERT_EQ(keys1, keys2);
-    for (const auto &k : keys1) {
-        std::vector<uint8_t> b1, b2;
-        ASSERT_TRUE(s1.read("llee-native-cache", k, b1));
-        ASSERT_TRUE(s2.read("llee-native-cache", k, b2));
-        EXPECT_EQ(b1, b2) << k;
-    }
-}
-
-TEST(Pipeline, ParallelExecuteMatchesSerialExecute)
-{
-    auto m = buildWorkload("ptrdist-anagram");
-    auto bc = writeBytecode(*m);
-
-    LLEE serial(*getTarget("x86"), nullptr);
-    LLEE threaded(*getTarget("x86"), nullptr);
-    threaded.setJobs(4);
-    LLEEResult r1 = serial.execute(bc);
-    LLEEResult r2 = threaded.execute(bc);
-    ASSERT_TRUE(r1.exec.ok());
-    ASSERT_TRUE(r2.exec.ok());
-    EXPECT_EQ(r1.exec.value.i, r2.exec.value.i);
-    EXPECT_EQ(r1.output, r2.output);
-    EXPECT_EQ(r1.machineInstructionsExecuted,
-              r2.machineInstructionsExecuted);
-}
-
-TEST(Pipeline, ParallelForCoversEveryIndexOnce)
-{
-    std::vector<std::atomic<int>> counts(1000);
-    for (auto &c : counts)
-        c.store(0);
-    parallelFor(counts.size(), 8,
-                [&](size_t i) { counts[i].fetch_add(1); });
-    for (auto &c : counts)
-        EXPECT_EQ(c.load(), 1);
-}
-
-TEST(Pipeline, ParallelForPropagatesExceptions)
-{
-    EXPECT_THROW(parallelFor(64, 4,
-                             [](size_t i) {
-                                 if (i == 13)
-                                     throw FatalError("boom");
-                             }),
-                 FatalError);
-}
-
-TEST(Pipeline, ThreadPoolRunsJobsOnItsWorker)
-{
-    // Workers start on the first enqueue: a pool given no work is
-    // destroyed without one.
-    {
-        ThreadPool idle(2);
-    }
-    ThreadPool pool(1);
-    std::thread::id ran;
-    pool.enqueue([&] { ran = std::this_thread::get_id(); }).get();
-    EXPECT_NE(ran, std::this_thread::get_id());
-    auto failed = pool.enqueue([] { throw FatalError("boom"); });
-    EXPECT_THROW(failed.get(), FatalError);
 }

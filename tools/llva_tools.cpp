@@ -16,6 +16,8 @@
  * be inspected per target.
  */
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -30,7 +32,6 @@
 #include "support/hashing.h"
 #include "parser/parser.h"
 #include "support/statistic.h"
-#include "support/thread_pool.h"
 #include "trace/trace.h"
 #include "transforms/pass.h"
 #include "verifier/verifier.h"
@@ -65,7 +66,7 @@ usage()
   llva-opt <input.bc>  -O<0|1|2> -o <out.bc> optimize object code
                        [-time-passes] [-stats] [-opt-bisect-limit=N]
   llva-run <input.bc>  [--target %s] [--cache DIR] [--interp]
-                       [--entry NAME] [-O<0|1|2>] [-j N] [-stats]
+                       [--entry NAME] [-O<0|1|2>] [-stats]
                        [--adaptive] [--watermark N] [-print-traces]
                        [--profile-sample N]
                        [--checkpoint FILE] [--restore FILE]
@@ -74,7 +75,7 @@ usage()
                                              execute under LLEE
   llva-run --list-targets                   print registered targets
   llva-translate <input.bc> [--target %s] [--local-alloc]
-                       [--no-coalesce] [-O<0|1|2>] [-j N] [-stats]
+                       [--no-coalesce] [-O<0|1|2>] [-stats]
                        [-print-traces] [-verify-each]
                        [-opt-bisect-limit=N]
                                              print machine code
@@ -84,8 +85,6 @@ usage()
                                              report corrupt/incompatible
                                              entries; --repair deletes them
 
-  -j N          translate with N worker threads (0 = all cores);
-                parallel output is byte-identical to serial
   -stats        print pipeline statistic counters to stderr
   -time-passes  print per-pass wall-clock timing to stderr
   -verify-each  run the IR verifier after every pass and name the
@@ -134,23 +133,67 @@ listTargets()
     std::exit(0);
 }
 
-/** Parse `-j N`-style worker counts (0 means every core). */
-unsigned
-parseJobs(const std::string &arg)
+/** The value of option args[i], the argument after it, which this
+ *  consumes. An option given last, with no value, is an error. */
+const std::string &
+optionValue(const std::vector<std::string> &args, size_t &i)
 {
-    unsigned n = static_cast<unsigned>(std::stoul(arg));
-    return n == 0 ? defaultJobs() : n;
+    if (i + 1 >= args.size())
+        fatal("option '%s' needs a value", args[i].c_str());
+    return args[++i];
 }
 
-/** Recognize `-opt-bisect-limit=N` and arm the global bisector. */
+/**
+ * \p text, the value of option \p opt, as a whole decimal number no
+ * larger than \p max. Anything else (a sign, a suffix, no digits, a
+ * number out of range) is an error that names the option and value.
+ */
+uint64_t
+parseNumber(const char *opt, const std::string &text,
+            uint64_t max = UINT64_MAX)
+{
+    uint64_t n = 0;
+    const char *end = text.data() + text.size();
+    auto [stop, ec] = std::from_chars(text.data(), end, n);
+    if (ec != std::errc() || stop != end || n > max) {
+        std::string range =
+            max == UINT64_MAX ? "" : " from 0 to " + std::to_string(max);
+        fatal("invalid %s value '%s': expected a whole decimal number%s",
+              opt, text.c_str(), range.c_str());
+    }
+    return n;
+}
+
+/** `-O<level>`: 0, 1 or 2, as the usage text says. */
+uint8_t
+parseOptLevel(const std::string &arg)
+{
+    return static_cast<uint8_t>(parseNumber("-O", arg.substr(2), 2));
+}
+
+/** Recognize `-opt-bisect-limit=N` (-1: no limit) and arm the
+ *  global bisector. */
 bool
 acceptBisectLimit(const std::string &arg)
 {
     const std::string prefix = "-opt-bisect-limit=";
     if (arg.rfind(prefix, 0) != 0)
         return false;
-    OptBisect::setLimit(std::stoi(arg.substr(prefix.size())));
+    std::string n = arg.substr(prefix.size());
+    OptBisect::setLimit(
+        n == "-1" ? -1
+                  : int64_t(parseNumber("-opt-bisect-limit", n, INT64_MAX)));
     return true;
+}
+
+/** A tool's positional argument, its input path. An argument that
+ *  starts with '-' is an option the tool does not know. */
+const std::string &
+inputPath(const std::string &arg)
+{
+    if (arg.rfind('-', 0) == 0)
+        fatal("unknown option '%s'", arg.c_str());
+    return arg;
 }
 
 std::string
@@ -200,10 +243,10 @@ toolAs(const std::vector<std::string> &args)
 {
     std::string input, output;
     for (size_t i = 0; i < args.size(); ++i) {
-        if (args[i] == "-o" && i + 1 < args.size())
-            output = args[++i];
+        if (args[i] == "-o")
+            output = optionValue(args, i);
         else
-            input = args[i];
+            input = inputPath(args[i]);
     }
     if (input.empty() || output.empty())
         usage();
@@ -221,10 +264,10 @@ toolDis(const std::vector<std::string> &args)
 {
     std::string input, output;
     for (size_t i = 0; i < args.size(); ++i) {
-        if (args[i] == "-o" && i + 1 < args.size())
-            output = args[++i];
+        if (args[i] == "-o")
+            output = optionValue(args, i);
         else
-            input = args[i];
+            input = inputPath(args[i]);
     }
     if (input.empty())
         usage();
@@ -246,8 +289,8 @@ toolOpt(const std::vector<std::string> &args)
     unsigned level = 2;
     bool timePasses = false, printStats = false;
     for (size_t i = 0; i < args.size(); ++i) {
-        if (args[i] == "-o" && i + 1 < args.size())
-            output = args[++i];
+        if (args[i] == "-o")
+            output = optionValue(args, i);
         else if (args[i] == "-time-passes")
             timePasses = true;
         else if (args[i] == "-stats")
@@ -255,10 +298,9 @@ toolOpt(const std::vector<std::string> &args)
         else if (acceptBisectLimit(args[i]))
             ;
         else if (args[i].rfind("-O", 0) == 0)
-            level = static_cast<unsigned>(
-                std::stoul(args[i].substr(2)));
+            level = parseOptLevel(args[i]);
         else
-            input = args[i];
+            input = inputPath(args[i]);
     }
     if (input.empty() || output.empty())
         usage();
@@ -303,6 +345,7 @@ runCheckpointMode(const std::string &input, Target &t,
 {
     auto m = loadModule(input);
     verifyOrDie(*m);
+    const Function *entryFn = LLEE::entryFunction(*m, entry);
     uint64_t hash = fnv1a(writeBytecode(*m));
 
     ExecutionContext ctx(*m);
@@ -334,12 +377,11 @@ runCheckpointMode(const std::string &input, Target &t,
                                    : "running entry");
         if (pauseAt)
             sim.setPauseAt(pauseAt);
-        r = st->suspended ? sim.resume()
-                          : sim.run(m->getFunction(entry));
+        r = st->suspended ? sim.resume() : sim.run(entryFn);
     } else {
         if (pauseAt)
             sim.setPauseAt(pauseAt);
-        r = sim.run(m->getFunction(entry));
+        r = sim.run(entryFn);
     }
 
     if (!saveTo.empty()) {
@@ -372,38 +414,34 @@ toolRun(const std::vector<std::string> &args)
     uint64_t pauseAt = 0;
     bool interp = false, printStats = false;
     CodeGenOptions opts;
-    unsigned jobs = 1;
     uint64_t sampleInterval = 1;
     for (size_t i = 0; i < args.size(); ++i) {
-        if (args[i] == "--target" && i + 1 < args.size())
-            target = args[++i];
+        if (args[i] == "--target")
+            target = optionValue(args, i);
         else if (args[i] == "--list-targets")
             listTargets();
-        else if (args[i] == "--cache" && i + 1 < args.size())
-            cache = args[++i];
-        else if (args[i] == "--entry" && i + 1 < args.size())
-            entry = args[++i];
+        else if (args[i] == "--cache")
+            cache = optionValue(args, i);
+        else if (args[i] == "--entry")
+            entry = optionValue(args, i);
         else if (args[i] == "--interp")
             interp = true;
         else if (args[i] == "--adaptive")
             opts.adaptive = true;
-        else if (args[i] == "--watermark" && i + 1 < args.size())
+        else if (args[i] == "--watermark")
             opts.promoteWatermark =
-                std::strtoull(args[++i].c_str(), nullptr, 10);
-        else if (args[i] == "--profile-sample" &&
-                 i + 1 < args.size())
+                parseNumber("--watermark", optionValue(args, i));
+        else if (args[i] == "--profile-sample")
             sampleInterval =
-                std::strtoull(args[++i].c_str(), nullptr, 10);
-        else if (args[i] == "--checkpoint" && i + 1 < args.size())
-            checkpointOut = args[++i];
-        else if (args[i] == "--restore" && i + 1 < args.size())
-            restoreIn = args[++i];
-        else if (args[i] == "--pause-at" && i + 1 < args.size())
-            pauseAt = std::strtoull(args[++i].c_str(), nullptr, 10);
+                parseNumber("--profile-sample", optionValue(args, i));
+        else if (args[i] == "--checkpoint")
+            checkpointOut = optionValue(args, i);
+        else if (args[i] == "--restore")
+            restoreIn = optionValue(args, i);
+        else if (args[i] == "--pause-at")
+            pauseAt = parseNumber("--pause-at", optionValue(args, i));
         else if (args[i] == "-print-traces")
             opts.printTraces = true;
-        else if (args[i] == "-j" && i + 1 < args.size())
-            jobs = parseJobs(args[++i]);
         else if (args[i] == "-stats")
             printStats = true;
         else if (args[i] == "-verify-each")
@@ -411,10 +449,9 @@ toolRun(const std::vector<std::string> &args)
         else if (acceptBisectLimit(args[i]))
             ;
         else if (args[i].rfind("-O", 0) == 0)
-            opts.optLevel = static_cast<uint8_t>(
-                std::stoul(args[i].substr(2)));
+            opts.optLevel = parseOptLevel(args[i]);
         else
-            input = args[i];
+            input = inputPath(args[i]);
     }
     if (input.empty())
         usage();
@@ -432,7 +469,7 @@ toolRun(const std::vector<std::string> &args)
         verifyOrDie(*m);
         ExecutionContext ctx(*m);
         Interpreter engine(ctx);
-        auto r = engine.run(m->getFunction(entry));
+        auto r = engine.run(LLEE::entryFunction(*m, entry));
         std::fputs(ctx.output().c_str(), stdout);
         if (r.trap != TrapKind::None) {
             std::fprintf(stderr, "\nllva-run: trap: %s\n",
@@ -448,7 +485,6 @@ toolRun(const std::vector<std::string> &args)
     if (!cache.empty())
         storage = std::make_unique<FileStorage>(cache);
     LLEE llee(*t, storage.get(), opts);
-    llee.setJobs(jobs);
     llee.setProfileSampleInterval(sampleInterval);
     auto bytes = readFileBytes(input);
     if (!(bytes.size() >= 4 && bytes[0] == 'L'))
@@ -540,15 +576,14 @@ toolTranslate(const std::vector<std::string> &args)
 {
     std::string input, target = "sparc", verifyDir;
     CodeGenOptions opts;
-    unsigned jobs = 1;
     bool printStats = false, repair = false;
     for (size_t i = 0; i < args.size(); ++i) {
-        if (args[i] == "--target" && i + 1 < args.size())
-            target = args[++i];
+        if (args[i] == "--target")
+            target = optionValue(args, i);
         else if (args[i] == "--list-targets")
             listTargets();
-        else if (args[i] == "--verify-cache" && i + 1 < args.size())
-            verifyDir = args[++i];
+        else if (args[i] == "--verify-cache")
+            verifyDir = optionValue(args, i);
         else if (args[i] == "--repair")
             repair = true;
         else if (args[i] == "--local-alloc")
@@ -557,8 +592,6 @@ toolTranslate(const std::vector<std::string> &args)
             opts.coalesce = false;
         else if (args[i] == "-print-traces")
             opts.printTraces = true;
-        else if (args[i] == "-j" && i + 1 < args.size())
-            jobs = parseJobs(args[++i]);
         else if (args[i] == "-stats")
             printStats = true;
         else if (args[i] == "-verify-each")
@@ -566,10 +599,9 @@ toolTranslate(const std::vector<std::string> &args)
         else if (acceptBisectLimit(args[i]))
             ;
         else if (args[i].rfind("-O", 0) == 0)
-            opts.optLevel = static_cast<uint8_t>(
-                std::stoul(args[i].substr(2)));
+            opts.optLevel = parseOptLevel(args[i]);
         else
-            input = args[i];
+            input = inputPath(args[i]);
     }
     if (!verifyDir.empty())
         return verifyCache(verifyDir, repair);
@@ -602,7 +634,7 @@ toolTranslate(const std::vector<std::string> &args)
             Interpreter profiler(ctx);
             profiler.setProfile(&profile);
             profiler.setInstructionLimit(100000000);
-            profiler.run(m->getFunction("main"));
+            profiler.run(LLEE::entryFunction(*m, "main"));
         }
         for (const auto &f : m->functions()) {
             if (f->isDeclaration())
@@ -621,41 +653,21 @@ toolTranslate(const std::vector<std::string> &args)
         }
     }
 
-    std::vector<const Function *> fns;
-    for (const auto &f : m->functions())
-        if (!f->isDeclaration())
-            fns.push_back(f.get());
-
-    // Translate on worker threads into index-addressed slots, then
-    // print serially in module order: `-j 8` output is
-    // byte-identical to `-j 1`.
-    struct Listing
-    {
-        std::string text;
-        size_t llvaCount = 0, nativeCount = 0, byteCount = 0;
-    };
-    std::vector<Listing> listings(fns.size());
-    parallelFor(fns.size(), jobs, [&](size_t i) {
-        const Function &f = *fns[i];
-        auto mf = translateFunction(f, *t, opts);
-        auto enc = encodeFunction(*mf, *t);
-        Listing &l = listings[i];
-        l.text = machineFunctionToString(*mf, *t);
-        l.llvaCount = f.instructionCount();
-        l.nativeCount = mf->instructionCount();
-        l.byteCount = enc.size();
-    });
-
     size_t llva_total = 0, native_total = 0, bytes_total = 0;
-    for (const Listing &l : listings) {
-        std::fputs(l.text.c_str(), stdout);
+    for (const auto &f : m->functions()) {
+        if (f->isDeclaration())
+            continue;
+        auto mf = translateFunction(*f, *t, opts);
+        size_t llvaCount = f->instructionCount();
+        size_t nativeCount = mf->instructionCount();
+        size_t byteCount = encodeFunction(*mf, *t).size();
+        std::fputs(machineFunctionToString(*mf, *t).c_str(), stdout);
         std::printf("; %zu LLVA -> %zu %s instructions, %zu "
                     "bytes\n\n",
-                    l.llvaCount, l.nativeCount, target.c_str(),
-                    l.byteCount);
-        llva_total += l.llvaCount;
-        native_total += l.nativeCount;
-        bytes_total += l.byteCount;
+                    llvaCount, nativeCount, target.c_str(), byteCount);
+        llva_total += llvaCount;
+        native_total += nativeCount;
+        bytes_total += byteCount;
     }
     std::printf("total: %zu LLVA -> %zu %s instructions "
                 "(ratio %.2f), %zu bytes\n",
