@@ -72,9 +72,8 @@ class PreservedAnalyses
 
 /**
  * Caches analysis results per function. Not thread-safe: each
- * optimization pipeline owns one manager and runs serially over a
- * module (parallel translation happens after optimization, on
- * read-only IR).
+ * optimization pipeline (a module run, or one translation rung's
+ * function pipeline) owns one manager and runs serially.
  */
 class AnalysisManager
 {

@@ -17,7 +17,8 @@
  * dominators precede their dominees in RPO).
  *
  * Layout:
- *   magic "LLVA", version, pointer-size, endianness
+ *   magic "LLVA", version, pointer-size, endianness, optimization
+ *   level (Module::optimizationLevel, 0-2; 0 = no record)
  *   module name
  *   type table        (indices; recursive structs via named shells)
  *   global variables  (name, type, flags, initializer)

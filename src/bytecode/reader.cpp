@@ -66,13 +66,16 @@ class ModuleReader
         TargetFlags flags;
         flags.pointerSize = r_.readByte();
         flags.bigEndian = r_.readByte() != 0;
-        r_.readByte(); // reserved
+        uint8_t optLevel = r_.readByte();
         if (flags.pointerSize != 4 && flags.pointerSize != 8)
             fatal("bad pointer size %u in header", flags.pointerSize);
+        if (optLevel > kMaxOptimizationLevel)
+            fatal("bad optimization level %u in header", optLevel);
 
         std::string name = r_.readString();
         m_ = std::make_unique<Module>(name);
         m_->setTargetFlags(flags);
+        m_->setOptimizationLevel(optLevel);
 
         readTypeTable();
         readGlobals();

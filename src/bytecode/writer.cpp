@@ -105,7 +105,7 @@ class ModuleWriter
         out_.writeByte(kBytecodeVersion);
         out_.writeByte(static_cast<uint8_t>(m_.pointerSize()));
         out_.writeByte(m_.targetFlags().bigEndian ? 1 : 0);
-        out_.writeByte(0);
+        out_.writeByte(static_cast<uint8_t>(m_.optimizationLevel()));
         out_.writeString(m_.name());
 
         // Type table: pre-index every type the module mentions, then

@@ -10,8 +10,8 @@ namespace llva {
 namespace {
 
 // Named pipeline counters, surfaced by `-stats` and the bench
-// harness. All atomic: parallel translation increments them from
-// worker threads.
+// harness. All atomic: the threads that translate (a dispatching
+// simulator, a live update) increment them concurrently.
 Statistic NumFunctionsTranslated(
     "codegen.functions_translated",
     "Functions translated to machine code");
@@ -105,9 +105,8 @@ translateFunction(const Function &f, Target &target,
         std::make_unique<MachineFunction>(&f, target.name());
 
     // This is the self-contained, re-entrant translation unit: it
-    // reads shared immutable IR and a stateless target, and writes
-    // only its own MachineFunction plus atomic counters — safe to
-    // run on any worker thread.
+    // reads the IR and a stateless target, and writes only its own
+    // MachineFunction plus atomic counters.
     CodeGenStats local;
     CodeGenStats *s = stats ? stats : &local;
     CodeGenStats before = *s;

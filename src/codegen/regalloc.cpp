@@ -14,6 +14,8 @@
  */
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <set>
 
@@ -37,23 +39,21 @@ class SpillSlots
 {
   public:
     explicit SpillSlots(MachineFunction &mf)
-        : mf_(mf)
+        : mf_(mf), slots_(mf.numVRegs(), -1)
     {}
 
     int
     slotOf(unsigned vreg)
     {
-        auto it = slots_.find(vreg);
-        if (it != slots_.end())
-            return it->second;
-        int idx = mf_.createFrameObject(8, 8);
-        slots_[vreg] = idx;
-        return idx;
+        int &slot = slots_[vreg - kFirstVirtualReg];
+        if (slot < 0)
+            slot = mf_.createFrameObject(8, 8);
+        return slot;
     }
 
   private:
     MachineFunction &mf_;
-    std::map<unsigned, int> slots_;
+    std::vector<int> slots_; ///< by vreg index; -1 until created
 };
 
 std::unique_ptr<MachineInstr>
@@ -287,6 +287,9 @@ struct Interval
     unsigned vreg = 0;
     int start = 0;
     int end = 0;
+    /** Whether the vreg occurs in the function: the interval table
+     *  is indexed by vreg, so it holds an entry for every one. */
+    bool used = false;
     bool crossesCall = false;
     unsigned assigned = 0;
     /** Whether \c assigned holds a register. Register numbers start
@@ -296,13 +299,20 @@ struct Interval
     bool spilled = false;
 };
 
+/**
+ * Global linear scan. Virtual registers are dense (kFirstVirtualReg
+ * plus an index) and so are block indices, so every table is an
+ * array indexed by one of them: instruction positions by block,
+ * liveness as bit rows per block, and intervals, copy hints and
+ * spill slots by vreg.
+ */
 class LinearScanAllocator
 {
   public:
     LinearScanAllocator(MachineFunction &mf, Target &target,
                         bool coalesce, CodeGenStats *stats)
         : mf_(mf), target_(target), coalesce_(coalesce),
-          stats_(stats), slots_(mf)
+          stats_(stats), slots_(mf), words_((mf.numVRegs() + 63) / 64)
     {}
 
     void
@@ -321,134 +331,195 @@ class LinearScanAllocator
     bool coalesce_;
     CodeGenStats *stats_;
     SpillSlots slots_;
+    /** 64-bit words in one liveness row: one bit per vreg. */
+    const size_t words_;
 
-    // Linearized view.
-    std::vector<MachineInstr *> order_;
-    std::map<const MachineInstr *, int> index_;
+    // Instruction positions, numbered in block order: each block's
+    // first and last (by block index), and every call's, ascending.
+    std::vector<int> blockFirst_, blockLast_;
     std::vector<int> callPositions_;
 
-    std::map<unsigned, std::set<unsigned>> liveIn_; // block idx -> vregs
-    std::map<unsigned, Interval> intervals_;
+    /** Live-in rows, words_ words per block, by block index. */
+    std::vector<uint64_t> liveIn_;
+    /** By vreg index. */
+    std::vector<Interval> intervals_;
+    /** Copy hints by vreg index: the other operand of each copy
+     *  naming the vreg, in copy order. */
+    std::vector<std::vector<unsigned>> hints_;
 
     // Scratch registers reserved for spill-code rewriting.
     std::vector<unsigned> scratchInt_, scratchFP_;
 
-    void
-    numberInstructions()
+    static size_t
+    indexOf(unsigned vreg)
     {
-        for (auto &mbb : mf_.blocks()) {
-            for (auto &mi : mbb->instrs()) {
-                index_[mi.get()] = static_cast<int>(order_.size());
-                order_.push_back(mi.get());
-                if (mi->isCall)
-                    callPositions_.push_back(
-                        static_cast<int>(order_.size()) - 1);
-            }
-        }
+        return vreg - kFirstVirtualReg;
+    }
+
+    uint64_t *
+    row(std::vector<uint64_t> &rows, unsigned block) const
+    {
+        return rows.data() + size_t(block) * words_;
+    }
+
+    static bool
+    testBit(const uint64_t *bits, size_t v)
+    {
+        return bits[v / 64] >> (v % 64) & 1;
     }
 
     static void
-    collectUsesDefs(const MachineInstr &mi,
-                    std::vector<unsigned> &uses,
-                    std::vector<unsigned> &defs)
+    setBit(uint64_t *bits, size_t v)
     {
-        for (size_t i = 0; i < mi.ops.size(); ++i) {
-            const MOperand &op = mi.ops[i];
-            if (op.kind != MOperand::Reg || !isVirtualReg(op.reg))
-                continue;
-            if (i < mi.numDefs)
-                defs.push_back(op.reg);
-            else
-                uses.push_back(op.reg);
+        bits[v / 64] |= uint64_t(1) << (v % 64);
+    }
+
+    template <typename Fn>
+    void
+    forEachBit(const uint64_t *bits, Fn fn) const
+    {
+        for (size_t w = 0; w < words_; ++w)
+            for (uint64_t b = bits[w]; b; b &= b - 1)
+                fn(w * 64 + size_t(std::countr_zero(b)));
+    }
+
+    /** \p out = the union of the live-in rows of \p mbb's successors. */
+    void
+    liveOut(const MachineBasicBlock &mbb, std::vector<uint64_t> &out)
+    {
+        std::fill(out.begin(), out.end(), 0);
+        for (const MachineBasicBlock *succ : mbb.successors()) {
+            const uint64_t *in = row(liveIn_, succ->index());
+            for (size_t w = 0; w < words_; ++w)
+                out[w] |= in[w];
+        }
+    }
+
+    void
+    numberInstructions()
+    {
+        const auto &blocks = mf_.blocks();
+        blockFirst_.resize(blocks.size());
+        blockLast_.resize(blocks.size());
+        int pos = 0;
+        for (const auto &mbb : blocks) {
+            blockFirst_[mbb->index()] = pos;
+            for (const auto &mi : mbb->instrs()) {
+                if (mi->isCall)
+                    callPositions_.push_back(pos);
+                ++pos;
+            }
+            blockLast_[mbb->index()] = pos - 1;
         }
     }
 
     void
     computeLiveness()
     {
-        // Iterative backward dataflow over blocks.
-        bool changed = true;
-        while (changed) {
+        // Per block: gen (read before any write in the block) and
+        // kill (written in it).
+        const auto &blocks = mf_.blocks();
+        std::vector<uint64_t> gen(blocks.size() * words_);
+        std::vector<uint64_t> kill(blocks.size() * words_);
+        for (const auto &mbb : blocks) {
+            uint64_t *g = row(gen, mbb->index());
+            uint64_t *k = row(kill, mbb->index());
+            for (const auto &mi : mbb->instrs()) {
+                for (size_t i = mi->numDefs; i < mi->ops.size(); ++i) {
+                    const MOperand &op = mi->ops[i];
+                    if (op.kind != MOperand::Reg || !isVirtualReg(op.reg))
+                        continue;
+                    if (!testBit(k, indexOf(op.reg)))
+                        setBit(g, indexOf(op.reg));
+                }
+                for (size_t i = 0; i < mi->numDefs; ++i) {
+                    const MOperand &op = mi->ops[i];
+                    if (op.kind == MOperand::Reg && isVirtualReg(op.reg))
+                        setBit(k, indexOf(op.reg));
+                }
+            }
+        }
+
+        // Iterative backward dataflow to the least fixpoint, in
+        // reverse block order: live-in = gen | (live-out & ~kill).
+        liveIn_.assign(blocks.size() * words_, 0);
+        std::vector<uint64_t> out(words_);
+        for (bool changed = true; changed;) {
             changed = false;
-            auto &blocks = mf_.blocks();
-            for (auto it = blocks.rbegin(); it != blocks.rend();
-                 ++it) {
-                MachineBasicBlock *mbb = it->get();
-                std::set<unsigned> live;
-                for (MachineBasicBlock *succ : mbb->successors()) {
-                    const auto &in = liveIn_[succ->index()];
-                    live.insert(in.begin(), in.end());
-                }
-                for (auto mit = mbb->instrs().rbegin();
-                     mit != mbb->instrs().rend(); ++mit) {
-                    std::vector<unsigned> uses, defs;
-                    collectUsesDefs(**mit, uses, defs);
-                    for (unsigned d : defs)
-                        live.erase(d);
-                    for (unsigned u : uses)
-                        live.insert(u);
-                }
-                auto &in = liveIn_[mbb->index()];
-                if (live != in) {
-                    in = std::move(live);
-                    changed = true;
+            for (auto it = blocks.rbegin(); it != blocks.rend(); ++it) {
+                const unsigned b = (*it)->index();
+                liveOut(**it, out);
+                const uint64_t *g = row(gen, b);
+                const uint64_t *k = row(kill, b);
+                uint64_t *in = row(liveIn_, b);
+                for (size_t w = 0; w < words_; ++w) {
+                    const uint64_t live = g[w] | (out[w] & ~k[w]);
+                    changed |= live != in[w];
+                    in[w] = live;
                 }
             }
         }
     }
 
     void
-    touch(unsigned vreg, int pos)
+    touch(size_t v, int pos)
     {
-        auto [it, fresh] =
-            intervals_.try_emplace(vreg, Interval{vreg, pos, pos});
-        if (!fresh) {
-            it->second.start = std::min(it->second.start, pos);
-            it->second.end = std::max(it->second.end, pos);
+        Interval &iv = intervals_[v];
+        if (!iv.used) {
+            iv.used = true;
+            iv.vreg = kFirstVirtualReg + static_cast<unsigned>(v);
+            iv.start = iv.end = pos;
+            return;
         }
+        iv.start = std::min(iv.start, pos);
+        iv.end = std::max(iv.end, pos);
     }
 
     void
     buildIntervals()
     {
-        for (auto &mbb : mf_.blocks()) {
+        intervals_.resize(mf_.numVRegs());
+        hints_.resize(mf_.numVRegs());
+        std::vector<uint64_t> out(words_);
+        for (const auto &mbb : mf_.blocks()) {
             if (mbb->instrs().empty())
                 continue;
-            int bstart = index_[mbb->instrs().front().get()];
-            int bend = index_[mbb->instrs().back().get()];
+            const unsigned b = mbb->index();
             // Live-in values span the whole block from its start.
-            for (unsigned v : liveIn_[mbb->index()])
-                touch(v, bstart);
+            forEachBit(row(liveIn_, b),
+                       [&](size_t v) { touch(v, blockFirst_[b]); });
             // Values live out across the block extend to its end.
-            for (MachineBasicBlock *succ : mbb->successors())
-                for (unsigned v : liveIn_[succ->index()])
-                    touch(v, bend);
-            for (auto &mi : mbb->instrs()) {
-                int pos = index_[mi.get()];
-                std::vector<unsigned> uses, defs;
-                collectUsesDefs(*mi, uses, defs);
-                for (unsigned u : uses)
-                    touch(u, pos);
-                for (unsigned d : defs)
-                    touch(d, pos);
-                // Copy hints for coalescing.
+            liveOut(*mbb, out);
+            forEachBit(out.data(),
+                       [&](size_t v) { touch(v, blockLast_[b]); });
+            int pos = blockFirst_[b];
+            for (const auto &mi : mbb->instrs()) {
+                for (const MOperand &op : mi->ops)
+                    if (op.kind == MOperand::Reg && isVirtualReg(op.reg))
+                        touch(indexOf(op.reg), pos);
+                // Copy hints for coalescing, resolved at assignment
+                // time: a copy hints each virtual operand at the
+                // other. A self-copy hints nothing, because its vreg
+                // has no register yet when its own hint is looked up.
                 if (coalesce_ && mi->opcode == kOpCopy &&
                     mi->ops.size() == 2 &&
                     mi->ops[1].kind == MOperand::Reg) {
-                    // Remember the relationship; resolved at
-                    // assignment time.
-                    copyPairs_.emplace_back(mi->ops[0].reg,
-                                            mi->ops[1].reg);
+                    const unsigned dst = mi->ops[0].reg;
+                    const unsigned src = mi->ops[1].reg;
+                    if (dst != src && isVirtualReg(dst))
+                        hints_[indexOf(dst)].push_back(src);
+                    if (dst != src && isVirtualReg(src))
+                        hints_[indexOf(src)].push_back(dst);
                 }
+                ++pos;
             }
         }
-        for (auto &[vreg, iv] : intervals_) {
-            for (int call : callPositions_) {
-                if (call > iv.start && call < iv.end) {
-                    iv.crossesCall = true;
-                    break;
-                }
-            }
+
+        // An interval crosses a call that lies strictly inside it.
+        for (Interval &iv : intervals_) {
+            auto call = std::upper_bound(callPositions_.begin(),
+                                         callPositions_.end(), iv.start);
+            iv.crossesCall = call != callPositions_.end() && *call < iv.end;
         }
     }
 
@@ -467,9 +538,15 @@ class LinearScanAllocator
         reserve(RegClass::Int, scratchInt_);
         reserve(RegClass::FP, scratchFP_);
 
+        size_t numPhys = 0;
+        for (RegClass rc : {RegClass::Int, RegClass::FP})
+            for (unsigned phys : target_.allocatable(rc))
+                numPhys = std::max<size_t>(numPhys, phys + 1);
+
         std::vector<Interval *> list;
-        for (auto &[vreg, iv] : intervals_)
-            list.push_back(&iv);
+        for (Interval &iv : intervals_)
+            if (iv.used)
+                list.push_back(&iv);
         std::sort(list.begin(), list.end(),
                   [](const Interval *a, const Interval *b) {
                       return a->start < b->start ||
@@ -478,12 +555,12 @@ class LinearScanAllocator
                   });
 
         std::vector<Interval *> active;
-        std::map<unsigned, Interval *> physInUse;
+        std::vector<char> inUse(numPhys, 0);
 
         auto expire = [&](int pos) {
             for (auto it = active.begin(); it != active.end();) {
                 if ((*it)->end < pos) {
-                    physInUse.erase((*it)->assigned);
+                    inUse[(*it)->assigned] = 0;
                     it = active.erase(it);
                 } else {
                     ++it;
@@ -494,12 +571,14 @@ class LinearScanAllocator
         for (Interval *iv : list) {
             expire(iv->start);
             RegClass rc = mf_.vregInfo(iv->vreg).regClass;
+            const auto &pool = target_.allocatable(rc);
             const auto &scratch =
                 rc == RegClass::Int ? scratchInt_ : scratchFP_;
             const auto &calleeSaved = target_.calleeSaved(rc);
 
+            // Called only on registers of rc's pool.
             auto usable = [&](unsigned phys) {
-                if (physInUse.count(phys))
+                if (inUse[phys])
                     return false;
                 if (std::find(scratch.begin(), scratch.end(), phys) !=
                     scratch.end())
@@ -519,12 +598,10 @@ class LinearScanAllocator
             // binding a live range to one of those would let call
             // marshalling code clobber it, so only in-pool hints
             // are honored.
-            const auto &pool = target_.allocatable(rc);
             unsigned hint = 0;
             if (coalesce_ && hintFor(iv->vreg, hint) &&
-                usable(hint) &&
-                std::find(pool.begin(), pool.end(), hint) !=
-                    pool.end()) {
+                std::find(pool.begin(), pool.end(), hint) != pool.end() &&
+                usable(hint)) {
                 chosen = hint;
                 found = true;
             }
@@ -541,7 +618,7 @@ class LinearScanAllocator
                 iv->assigned = chosen;
                 iv->hasReg = true;
                 active.push_back(iv);
-                physInUse[chosen] = iv;
+                inUse[chosen] = 1;
             } else {
                 // Spill the interval ending last (this one or an
                 // active one of the same class).
@@ -554,7 +631,6 @@ class LinearScanAllocator
                 if (victim != iv) {
                     iv->assigned = victim->assigned;
                     iv->hasReg = true;
-                    physInUse[iv->assigned] = iv;
                     active.erase(std::find(active.begin(),
                                            active.end(), victim));
                     active.push_back(iv);
@@ -569,24 +645,16 @@ class LinearScanAllocator
     }
 
     bool
-    hintFor(unsigned vreg, unsigned &hint)
+    hintFor(unsigned vreg, unsigned &hint) const
     {
-        for (auto &[a, b] : copyPairs_) {
-            unsigned other;
-            if (a == vreg)
-                other = b;
-            else if (b == vreg)
-                other = a;
-            else
-                continue;
-            if (isVirtualReg(other)) {
-                auto it = intervals_.find(other);
-                if (it != intervals_.end() && it->second.hasReg) {
-                    hint = it->second.assigned;
-                    return true;
-                }
-            } else {
+        for (unsigned other : hints_[indexOf(vreg)]) {
+            if (!isVirtualReg(other)) {
                 hint = other; // physical hint (arg/ret copies)
+                return true;
+            }
+            const Interval &iv = intervals_[indexOf(other)];
+            if (iv.hasReg) {
+                hint = iv.assigned;
                 return true;
             }
         }
@@ -596,10 +664,13 @@ class LinearScanAllocator
     void
     rewrite()
     {
+        // Each block is rebuilt into a fresh vector: reloads before
+        // their instruction, spills after it.
+        std::vector<std::unique_ptr<MachineInstr>> out, spills;
         for (auto &mbb : mf_.blocks()) {
-            auto &instrs = mbb->instrs();
-            for (size_t i = 0; i < instrs.size(); ++i) {
-                MachineInstr &mi = *instrs[i];
+            out.clear();
+            for (auto &owned : mbb->instrs()) {
+                MachineInstr &mi = *owned;
                 unsigned scratchUsedInt = 0, scratchUsedFP = 0;
 
                 // Uses first: reload spilled values into scratch.
@@ -608,12 +679,12 @@ class LinearScanAllocator
                     if (op.kind != MOperand::Reg ||
                         !isVirtualReg(op.reg))
                         continue;
-                    Interval &iv = intervals_.at(op.reg);
-                    const VRegInfo &info = mf_.vregInfo(op.reg);
+                    const Interval &iv = intervals_[indexOf(op.reg)];
                     if (!iv.spilled) {
                         op.reg = iv.assigned;
                         continue;
                     }
+                    const VRegInfo &info = mf_.vregInfo(op.reg);
                     bool fp = info.regClass == RegClass::FP;
                     auto &scratch = fp ? scratchFP_ : scratchInt_;
                     unsigned &used =
@@ -621,65 +692,50 @@ class LinearScanAllocator
                     LLVA_ASSERT(used < scratch.size(),
                                 "out of scratch registers");
                     unsigned phys = scratch[used++];
-                    instrs.insert(
-                        instrs.begin() + static_cast<ptrdiff_t>(i),
-                        makeReload(phys, slots_.slotOf(op.reg), fp,
-                                   info.fp32));
+                    out.push_back(makeReload(
+                        phys, slots_.slotOf(op.reg), fp, info.fp32));
                     if (stats_)
                         ++stats_->reloadsInserted;
-                    ++i;
                     op.reg = phys;
                 }
-                // Defs: spill after the instruction.
+                // Defs: spill after the instruction, the last def's
+                // spill first.
+                spills.clear();
                 for (size_t o = 0; o < mi.numDefs; ++o) {
                     MOperand &op = mi.ops[o];
                     if (op.kind != MOperand::Reg ||
                         !isVirtualReg(op.reg))
                         continue;
-                    Interval &iv = intervals_.at(op.reg);
-                    const VRegInfo &info = mf_.vregInfo(op.reg);
+                    const Interval &iv = intervals_[indexOf(op.reg)];
                     if (!iv.spilled) {
                         op.reg = iv.assigned;
                         continue;
                     }
+                    const VRegInfo &info = mf_.vregInfo(op.reg);
                     bool fp = info.regClass == RegClass::FP;
-                    auto &scratch = fp ? scratchFP_ : scratchInt_;
-                    unsigned phys = scratch[0];
+                    unsigned phys = (fp ? scratchFP_ : scratchInt_)[0];
                     op.reg = phys;
-                    instrs.insert(
-                        instrs.begin() +
-                            static_cast<ptrdiff_t>(i + 1),
-                        makeSpill(phys, slots_.slotOf(
-                                            intervalVReg(iv)),
-                                  fp, info.fp32));
+                    spills.push_back(makeSpill(
+                        phys, slots_.slotOf(iv.vreg), fp, info.fp32));
                     if (stats_)
                         ++stats_->spillsInserted;
                 }
-            }
-            // Delete coalesced copies (same source and dest).
-            for (auto it = instrs.begin(); it != instrs.end();) {
-                MachineInstr &mi = **it;
+                // Delete coalesced copies (same source and dest).
                 if (mi.opcode == kOpCopy && mi.ops.size() == 2 &&
                     mi.ops[0].kind == MOperand::Reg &&
                     mi.ops[1].kind == MOperand::Reg &&
                     mi.ops[0].reg == mi.ops[1].reg) {
                     if (stats_)
                         ++stats_->phiCopiesCoalesced;
-                    it = instrs.erase(it);
                 } else {
-                    ++it;
+                    out.push_back(std::move(owned));
                 }
+                for (auto it = spills.rbegin(); it != spills.rend(); ++it)
+                    out.push_back(std::move(*it));
             }
+            mbb->instrs().swap(out);
         }
     }
-
-    static unsigned
-    intervalVReg(const Interval &iv)
-    {
-        return iv.vreg;
-    }
-
-    std::vector<std::pair<unsigned, unsigned>> copyPairs_;
 };
 
 } // namespace

@@ -5,7 +5,10 @@
  * Carries the representation-portability flags of paper Section 3.2:
  * the pointer size and endianness the producing compiler assumed,
  * recorded so a translator for a different I-ISA configuration can
- * detect (and, for type-safe code, ignore) the difference.
+ * detect (and, for type-safe code, ignore) the difference. It also
+ * records the optimization it has had (Section 4.2: optimize the
+ * persistent representation ahead of time, keep the online
+ * translator simple).
  */
 
 #ifndef LLVA_IR_MODULE_H
@@ -21,6 +24,9 @@
 #include "ir/type.h"
 
 namespace llva {
+
+/** The highest standard optimization level (-O2). */
+constexpr unsigned kMaxOptimizationLevel = 2;
 
 /** The I-ISA configuration flags encoded in object files (§3.2). */
 struct TargetFlags
@@ -44,6 +50,17 @@ class Module
     const TargetFlags &targetFlags() const { return flags_; }
     void setTargetFlags(const TargetFlags &f) { flags_ = f; }
     unsigned pointerSize() const { return flags_.pointerSize; }
+
+    /**
+     * The standard-pipeline level (addStandardPasses) this module has
+     * had, 0 when there is no record. A completed PassManager run
+     * raises it, and virtual object code carries it, so a translator
+     * need not re-run a pipeline the producer already ran. Like the
+     * rest of the object file, the record is untrusted: a wrong one
+     * can cost speed, never correctness.
+     */
+    unsigned optimizationLevel() const { return optLevel_; }
+    void setOptimizationLevel(unsigned level) { optLevel_ = level; }
 
     // --- Functions -----------------------------------------------------
 
@@ -105,6 +122,7 @@ class Module
     std::string name_;
     TypeContext types_;
     TargetFlags flags_;
+    unsigned optLevel_ = 0;
     std::list<std::unique_ptr<Function>> functions_;
     std::list<std::unique_ptr<GlobalVariable>> globals_;
 

@@ -8,7 +8,7 @@
  * per pipeline stage for `-time-passes`-style reports.
  *
  * Counters are cheap enough to leave always-on: one relaxed atomic
- * add per event, including under parallel translation.
+ * add per event, from whichever thread translates or executes.
  */
 
 #ifndef LLVA_SUPPORT_STATISTIC_H

@@ -166,6 +166,9 @@ PassManager::run(Module &m, AnalysisManager &am)
         }
         i = stageEnd;
     }
+    // Reached only when every application completed: a failure threw.
+    if (!skipped_ && standardLevel_ > m.optimizationLevel())
+        m.setOptimizationLevel(standardLevel_);
     return endRun();
 }
 
@@ -185,6 +188,7 @@ PassManager::runOnFunction(Function &f, AnalysisManager &am)
 void
 PassManager::beginRun()
 {
+    skipped_ = false;
     changed_.clear();
     timings_.assign(entries_.size(), PassTiming{});
     for (size_t k = 0; k < entries_.size(); ++k)
@@ -210,6 +214,7 @@ PassManager::apply(size_t k, Module &m, Function *f, AnalysisManager &am)
     ++timing.invocations;
     const std::string &unit = f ? f->name() : m.name();
     if (OptBisect::enabled() && !OptBisect::shouldRun(e.name(), unit)) {
+        skipped_ = true;
         timing.seconds += t.seconds();
         return;
     }
@@ -299,8 +304,12 @@ PassManager::timingReport() const
     return out;
 }
 
+namespace {
+
+/** The one pass list: the function pipeline at \p level, with the
+ *  inliner ahead of -O2's second scalar round when \p inliner. */
 void
-addStandardPasses(PassManager &pm, unsigned level)
+addPipeline(PassManager &pm, unsigned level, bool inliner)
 {
     if (level == 0)
         return;
@@ -311,35 +320,30 @@ addStandardPasses(PassManager &pm, unsigned level)
     pm.add(createGVNPass());
     pm.add(createADCEPass());
     pm.add(createSimplifyCFGPass());
-    if (level >= 2) {
+    if (level < 2)
+        return;
+    if (inliner)
         pm.add(createInlinerPass());
-        pm.add(createInstCombinePass());
-        pm.add(createSCCPPass());
-        pm.add(createGVNPass());
-        pm.add(createADCEPass());
-        pm.add(createSimplifyCFGPass());
-    }
+    pm.add(createInstCombinePass());
+    pm.add(createSCCPPass());
+    pm.add(createGVNPass());
+    pm.add(createADCEPass());
+    pm.add(createSimplifyCFGPass());
 }
+
+} // namespace
 
 void
 addFunctionPasses(PassManager &pm, unsigned level)
 {
-    if (level == 0)
-        return;
-    pm.add(createMem2RegPass());
-    pm.add(createInstCombinePass());
-    pm.add(createSCCPPass());
-    pm.add(createSimplifyCFGPass());
-    pm.add(createGVNPass());
-    pm.add(createADCEPass());
-    pm.add(createSimplifyCFGPass());
-    if (level >= 2) {
-        pm.add(createInstCombinePass());
-        pm.add(createSCCPPass());
-        pm.add(createGVNPass());
-        pm.add(createADCEPass());
-        pm.add(createSimplifyCFGPass());
-    }
+    addPipeline(pm, level, false);
+}
+
+void
+addStandardPasses(PassManager &pm, unsigned level)
+{
+    addPipeline(pm, level, true);
+    pm.setStandardLevel(std::min(level, kMaxOptimizationLevel));
 }
 
 } // namespace llva

@@ -175,6 +175,14 @@ class PassManager
     void setBudget(const PassBudget &b) { budget_ = b; }
     const PassBudget &budget() const { return budget_; }
 
+    /**
+     * Declare that this manager holds the standard pipeline at \p
+     * level (addStandardPasses does). A module run that completes
+     * with no application skipped by OptBisect then raises the
+     * module's optimizationLevel() to \p level; it never lowers it.
+     */
+    void setStandardLevel(unsigned level) { standardLevel_ = level; }
+
     /** Run all passes; returns true if anything changed. */
     bool run(Module &m);
 
@@ -234,6 +242,9 @@ class PassManager
     std::vector<PassTiming> timings_;
     PassBudget budget_;
     bool verifyEach_ = false;
+    unsigned standardLevel_ = 0;
+    /** An application of the current run was skipped by OptBisect. */
+    bool skipped_ = false;
 };
 
 // Factory functions for the standard passes.
@@ -255,20 +266,21 @@ std::unique_ptr<FunctionPass> createReg2MemPass();
 std::unique_ptr<ModulePass> createPoolAllocationPass();
 
 /**
- * The standard optimization pipeline.
+ * The function pipeline, which the tier ladder runs on one function
+ * at a time (so it holds no module pass).
  *  - level 0: nothing.
  *  - level 1: mem2reg, instcombine, SCCP, GVN, ADCE, simplifycfg.
- *  - level 2: level 1 plus inlining and a second scalar round
- *    (the "link-time interprocedural" configuration of Section 4.2).
- */
-void addStandardPasses(PassManager &pm, unsigned level);
-
-/**
- * The function-pass subset of the standard pipeline (no inliner; the
- * tier ladder retranslates one function at a time, so module passes
- * cannot apply). Level 2 adds the second scalar round.
+ *  - level 2: level 1 plus a second scalar round.
  */
 void addFunctionPasses(PassManager &pm, unsigned level);
+
+/**
+ * The standard optimization pipeline: the function pipeline, with
+ * the inliner ahead of -O2's second scalar round (the "link-time
+ * interprocedural" configuration of Section 4.2). \p pm records it,
+ * so a completed run marks the module as optimized at \p level.
+ */
+void addStandardPasses(PassManager &pm, unsigned level);
 
 } // namespace llva
 

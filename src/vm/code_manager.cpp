@@ -47,6 +47,16 @@ Statistic NumLiveReplacements(
 
 } // namespace
 
+CodeManager::CodeManager(Target &target, CodeGenOptions opts)
+    : target_(target), opts_(opts)
+{
+    // The tier numbers above the ladder (kTierTrace,
+    // kTierInterpreter) are not levels a caller may request.
+    if (opts_.optLevel > kMaxOptimizationLevel)
+        fatal("CodeManager: optimization level %u is not 0, 1 or 2",
+              static_cast<unsigned>(opts_.optLevel));
+}
+
 const ChainedFunction *
 CodeManager::chained(const Function *f)
 {
@@ -62,8 +72,9 @@ CodeManager::chained(const Function *f)
     if (auto entry = entryLocked(f))
         return *entry;
 
-    // The ladder optimizes the body in place (and restores it); the
-    // cache API stays const because callers never observe a change.
+    // A rung that optimizes or lays out the body does so in place
+    // and restores it; the cache API stays const because callers
+    // never observe a change.
     return translateWithLadder(*const_cast<Function *>(f));
 }
 
@@ -117,28 +128,34 @@ CodeManager::translateWithLadder(Function &f)
 CodeManager::Translation
 CodeManager::translateRung(Function &f, unsigned tier)
 {
-    // Optimize copy-on-write style: snapshot the pristine body,
-    // optimize and codegen in place, then restore. The original
-    // bytecode stays the single source of truth (lower tiers, later
-    // promotions and the interpreter must see the unoptimized body).
-    // The snapshot is the rung's one restore point: any failure on
-    // the way (a pass fault, a blown budget, broken IR, a trace or
-    // codegen fault) abandons the rung. Plain -O0 changes nothing, so
-    // it skips the snapshot.
+    // Transform copy-on-write style: snapshot the pristine body,
+    // optimize, lay out and codegen in place, then restore. The
+    // original bytecode stays the single source of truth (lower
+    // tiers, later promotions and the interpreter must see the body
+    // as loaded). The snapshot is the rung's one restore point: any
+    // failure on the way (a pass fault, a blown budget, broken IR, a
+    // trace or codegen fault) abandons the rung. The function
+    // pipeline runs only above the level the module records: its
+    // producer optimized it ahead of time (paper Section 4.2). A rung
+    // with no pass to run and no layout to apply only generates
+    // code, which reads the body, so it takes no snapshot.
     Timer timer;
     Translation t;
     const bool traces = tier == kTierTrace;
     const unsigned level = traces ? opts_.optLevel : tier;
-    const bool mutates = tier > 0 || bool(hooks_);
+    const bool optimize = level > f.parent()->optimizationLevel();
+    const bool extend = bool(hooks_.extendPipeline);
+    const bool mutates = optimize || extend || traces;
     FunctionSnapshot pristine;
     if (mutates)
         pristine = FunctionSnapshot::capture(f);
     try {
-        if (mutates) {
+        if (optimize || extend) {
             PassManager pm;
             pm.setVerifyEach(opts_.verifyEach);
-            addFunctionPasses(pm, level);
-            if (hooks_.extendPipeline)
+            if (optimize)
+                addFunctionPasses(pm, level);
+            if (extend)
                 hooks_.extendPipeline(pm, tier);
             AnalysisManager am;
             pm.runOnFunction(f, am);
@@ -164,9 +181,9 @@ CodeManager::layOutTraces(Function &f)
     // Form hot traces from the runtime profile. The profile was
     // gathered over machine code produced by this same deterministic
     // pipeline, so its stable block IDs resolve by name against the
-    // freshly optimized body. The trace cache is scoped to this
-    // promotion: it holds BasicBlock pointers into the optimized
-    // body, which dies when the rung restores its snapshot. Only the
+    // body this rung translates. The trace cache is scoped to this
+    // promotion: it holds BasicBlock pointers into that body, which
+    // dies when the rung restores its snapshot. Only the
     // stable head IDs outlive it (re-promotion accounting). The
     // profile is read under its own mutex: worker threads may be
     // merging deltas concurrently.

@@ -13,12 +13,17 @@
  * never observe a translation gap while a function is swapped
  * under them.
  *
- * Tiered degradation: when options request an optimization level,
- * each function is optimized and code-generated at that level in
- * place, and its body is then restored from the snapshot the rung
- * took first. The rung is the failure domain: any failure in it (a
- * pass fault, a blown pass budget, IR the verifier rejects, a codegen
- * fault) abandons the tier at that restore, and the function is
+ * Tiered degradation: each function is code-generated at the
+ * requested optimization level (0, 1 or 2; the constructor rejects
+ * anything else). A rung above the level the module records
+ * (Module::optimizationLevel, which bytecode carries) first runs the
+ * function pipeline at its level on the body in place, then
+ * restores the body from the snapshot it took first; a rung at or
+ * below the record runs no pass, takes no snapshot and only
+ * generates code, because the producer optimized the module ahead
+ * of time (paper Section 4.2). The rung is the failure domain: any
+ * failure in it (a pass fault, a blown pass budget, IR the verifier
+ * rejects, a codegen fault) abandons the tier, and the function is
  * retranslated one level lower, down to -O0 and finally the
  * interpreter (get() returns nullptr for interpreter-pinned
  * functions). A fault in one function's translation therefore never
@@ -49,10 +54,10 @@
  *
  * Thread safety: all cache state is guarded by a shared_mutex
  * (readers: dispatch lookups; writers: translation, installation,
- * retirement, reclamation). Translation mutates IR bodies in place
- * (snapshot/restore), so interpreter-tier execution of a function
- * body — the only concurrent IR *reader* — must hold the shared
- * lock (readLock()) for its duration. The attached profile has its
+ * retirement, reclamation). A rung that optimizes or lays out a
+ * body mutates it in place (snapshot/restore), so interpreter-tier
+ * execution of a function body — the only concurrent IR *reader* —
+ * must hold the shared lock (readLock()) for its duration. The attached profile has its
  * own mutex: simulator threads record into thread-local profiles
  * and publish them with mergeProfile(); promotion reads the merged
  * master under the same lock.
@@ -102,9 +107,9 @@ struct TranslationHooks
 class CodeManager
 {
   public:
-    CodeManager(Target &target, CodeGenOptions opts = {})
-        : target_(target), opts_(opts)
-    {}
+    /** Throws FatalError when \p opts asks for a level above -O2:
+     *  the ladder's rungs are -O2, -O1 and -O0. */
+    CodeManager(Target &target, CodeGenOptions opts = {});
 
     Target &target() { return target_; }
     const CodeGenOptions &options() const { return opts_; }
@@ -332,13 +337,14 @@ class CodeManager
 
     /**
      * The one translation rung, for ladder level \p tier or, with
-     * kTierTrace, promotion (`-O<level>+traces`): snapshot the body,
-     * optimize at the level (with the extendPipeline hook), form
-     * traces from the attached profile and lay them out when
-     * promoting, then codegen, and restore the snapshot. Any failure
-     * on the way is warned about with its cause and yields no body.
-     * The function body is left exactly as found. Caller holds mu_
-     * exclusively.
+     * kTierTrace, promotion (`-O<level>+traces`): optimize at the
+     * level when it is above the module's record, run the
+     * extendPipeline hook's passes, form traces from the attached
+     * profile and lay them out when promoting, then codegen. A rung
+     * that changes the body on the way snapshots it first and
+     * restores it after. Any failure on the way is warned about with
+     * its cause and yields no body. The function body is left
+     * exactly as found. Caller holds mu_ exclusively.
      */
     Translation translateRung(Function &f, unsigned tier);
 

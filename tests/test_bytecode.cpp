@@ -168,7 +168,7 @@ craftedHeader()
     w.writeByte(kBytecodeVersion);
     w.writeByte(8); // pointer size
     w.writeByte(0); // little-endian
-    w.writeByte(0); // reserved
+    w.writeByte(0); // optimization level: no record
     w.writeString("crafted");
     return w;
 }
@@ -257,6 +257,19 @@ TEST(Bytecode, RejectsBadVersion)
     ByteWriter w;
     w.writeBytes(bytes.data(), bytes.size());
     expectRejected(sealed(w), "version");
+}
+
+TEST(Bytecode, RejectsBadOptimizationLevel)
+{
+    auto m = parseAssembly("target pointersize = 64\n").orDie();
+    auto bytes = writeBytecode(*m);
+    // Levels 0-2 are the only records; a re-sealed 3 must be refused
+    // by the header check, not by the checksum.
+    bytes.resize(bytes.size() - kBytecodeTrailerSize);
+    bytes[7] = 3;
+    ByteWriter w;
+    w.writeBytes(bytes.data(), bytes.size());
+    expectRejected(sealed(w), "optimization level");
 }
 
 // --- Bounds-check audit regressions ----------------------------------

@@ -614,9 +614,9 @@ toolTranslate(const std::vector<std::string> &args)
 
     // Apply the per-function optimization pipeline the online
     // translator would run at this -O level, with the same
-    // localization aids (-verify-each, -opt-bisect-limit).
-    if (opts.optLevel > 0 || opts.verifyEach ||
-        OptBisect::enabled()) {
+    // localization aids (-verify-each, -opt-bisect-limit): none when
+    // the module records that it already had this level.
+    if (opts.optLevel > m->optimizationLevel()) {
         PassManager pm;
         pm.setVerifyEach(opts.verifyEach);
         addFunctionPasses(pm, opts.optLevel);
