@@ -1,6 +1,6 @@
 #include "codegen/codegen.h"
 
-#include <set>
+#include <bitset>
 #include <sstream>
 
 #include "support/statistic.h"
@@ -81,24 +81,29 @@ finalizeFrame(MachineFunction &mf)
 std::vector<unsigned>
 usedCalleeSaved(const MachineFunction &mf, const Target &target)
 {
-    std::set<unsigned> written;
+    // One bit per physical register: callee-saved registers are
+    // physical, so a def of anything else cannot name one.
+    std::bitset<kFirstVirtualReg> written;
     for (const auto &mbb : mf.blocks())
         for (const auto &mi : mbb->instrs())
-            for (size_t i = 0; i < mi->numDefs; ++i)
-                if (mi->ops[i].kind == MOperand::Reg)
-                    written.insert(mi->ops[i].reg);
+            for (size_t i = 0; i < mi->numDefs; ++i) {
+                const MOperand &op = mi->ops[i];
+                if (op.kind == MOperand::Reg && op.reg < kFirstVirtualReg)
+                    written.set(op.reg);
+            }
 
     std::vector<unsigned> out;
     for (RegClass rc : {RegClass::Int, RegClass::FP})
         for (unsigned reg : target.calleeSaved(rc))
-            if (written.count(reg))
+            if (written.test(reg))
                 out.push_back(reg);
     return out;
 }
 
 std::unique_ptr<MachineFunction>
 translateFunction(const Function &f, Target &target,
-                  const CodeGenOptions &opts, CodeGenStats *stats)
+                  const CodeGenOptions &opts, CodeGenStats *stats,
+                  const BlockOrder &order)
 {
     LLVA_ASSERT(!f.isDeclaration(), "cannot translate a declaration");
     auto mf =
@@ -113,7 +118,7 @@ translateFunction(const Function &f, Target &target,
 
     {
         ScopedStageTimer t(IselTime);
-        target.select(f, *mf);
+        target.select(f, *mf, order);
     }
     NumInstructionsSelected += mf->instructionCount();
 

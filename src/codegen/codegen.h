@@ -70,13 +70,16 @@ struct CodeGenStats
 };
 
 /**
- * Translate one verified LLVA function to machine code for \p target.
- * The result has only physical registers and resolved frame offsets.
+ * Translate one verified LLVA function to machine code for \p target,
+ * laying its blocks out in \p order (empty: the function's own
+ * order; trace layout passes traceLayoutOrder()). The result has only
+ * physical registers and resolved frame offsets.
  */
 std::unique_ptr<MachineFunction>
 translateFunction(const Function &f, Target &target,
                   const CodeGenOptions &opts = {},
-                  CodeGenStats *stats = nullptr);
+                  CodeGenStats *stats = nullptr,
+                  const BlockOrder &order = {});
 
 /** Encode every instruction of \p mf; returns total bytes. */
 std::vector<uint8_t> encodeFunction(const MachineFunction &mf,

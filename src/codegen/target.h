@@ -137,10 +137,12 @@ class Target
 
     /**
      * Instruction selection: translate a verified LLVA function into
-     * machine instructions over virtual registers. Phi nodes become
-     * kOpPhi pseudos, later removed by phi elimination.
+     * machine instructions over virtual registers, emitting its
+     * blocks in \p order (empty: the function's own order). Phi
+     * nodes become kOpPhi pseudos, later removed by phi elimination.
      */
-    virtual void select(const Function &f, MachineFunction &mf) = 0;
+    virtual void select(const Function &f, MachineFunction &mf,
+                        const BlockOrder &order) = 0;
 
     /**
      * Insert the prologue/epilogue (stack adjustment, callee-saved

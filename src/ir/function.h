@@ -134,6 +134,13 @@ class Function : public Constant
     bool defined_ = false; ///< set with the first block, never cleared
 };
 
+/**
+ * An order of one function's blocks, entry first. Trace layout hands
+ * one to instruction selection, which emits the machine blocks in it
+ * and leaves the function's own order alone.
+ */
+using BlockOrder = std::vector<const BasicBlock *>;
+
 } // namespace llva
 
 #endif // LLVA_IR_FUNCTION_H

@@ -112,22 +112,24 @@ report()
                       s->desc());
         out += line;
     }
-    bool timed = false;
-    for (const StageTimer *t : allTimers())
-        timed |= t->invocations() != 0;
-    if (timed) {
-        out += "=== Stage timings ===\n";
-        for (const StageTimer *t : allTimers()) {
-            if (!t->invocations())
-                continue;
-            char line[256];
-            std::snprintf(line, sizeof(line),
-                          "%10.3f ms  %-32s %llu calls  (%s)\n",
-                          t->seconds() * 1000.0, t->name(),
-                          (unsigned long long)t->invocations(),
-                          t->desc());
-            out += line;
-        }
+    return out + timingReport();
+}
+
+std::string
+timingReport()
+{
+    std::string out;
+    for (const StageTimer *t : allTimers()) {
+        if (!t->invocations())
+            continue;
+        if (out.empty())
+            out = "=== Stage timings ===\n";
+        char line[256];
+        std::snprintf(line, sizeof(line),
+                      "%10.3f ms  %-32s %llu calls  (%s)\n",
+                      t->seconds() * 1000.0, t->name(),
+                      (unsigned long long)t->invocations(), t->desc());
+        out += line;
     }
     return out;
 }

@@ -135,6 +135,10 @@ void reset();
 /** The `-stats` report: nonzero counters and timers, aligned. */
 std::string report();
 
+/** The timers' part of report() (verification and code generation
+ *  stages), empty when none ran; `-time-passes` prints it too. */
+std::string timingReport();
+
 } // namespace stats
 
 } // namespace llva

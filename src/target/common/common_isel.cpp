@@ -56,7 +56,8 @@ setccRel(Opcode op)
 } // namespace
 
 void
-CommonISel::runOn(const Function &f, MachineFunction &mf)
+CommonISel::runOn(const Function &f, MachineFunction &mf,
+                  const BlockOrder &order)
 {
     mf_ = &mf;
     f_ = &f;
@@ -66,14 +67,26 @@ CommonISel::runOn(const Function &f, MachineFunction &mf)
     staticAllocas_.clear();
     pointerSize_ = f.parent()->pointerSize();
 
-    for (const auto &bb : f)
-        blockMap_[bb.get()] = mf.createBlock(bb->name());
+    BlockOrder own;
+    if (order.empty())
+        for (const auto &bb : f)
+            own.push_back(bb.get());
+    const BlockOrder &blocks = order.empty() ? own : order;
+    LLVA_ASSERT(blocks.size() == f.size() &&
+                    blocks.front() == f.entryBlock(),
+                "block order of '%s' is not its blocks, entry first",
+                f.name().c_str());
+
+    // Machine blocks follow the order; vregs are numbered as the
+    // blocks are visited.
+    for (const BasicBlock *bb : blocks)
+        blockMap_[bb] = mf.createBlock(bb->name());
 
     cur_ = blockMap_[f.entryBlock()];
     lowerArgs();
 
-    for (const auto &bb : f) {
-        cur_ = blockMap_[bb.get()];
+    for (const BasicBlock *bb : blocks) {
+        cur_ = blockMap_[bb];
         for (const auto &inst : *bb)
             dispatch(*inst);
     }

@@ -30,8 +30,10 @@ class CommonISel
   public:
     virtual ~CommonISel() = default;
 
-    /** Translate \p f into \p mf. */
-    void runOn(const Function &f, MachineFunction &mf);
+    /** Translate \p f into \p mf, visiting its blocks in \p order
+     *  (empty: the function's own order). */
+    void runOn(const Function &f, MachineFunction &mf,
+               const BlockOrder &order);
 
   protected:
     /**

@@ -103,10 +103,11 @@ RiscvTarget::regName(unsigned reg) const
 }
 
 void
-RiscvTarget::select(const Function &f, MachineFunction &mf)
+RiscvTarget::select(const Function &f, MachineFunction &mf,
+                    const BlockOrder &order)
 {
     RiscvISel isel(abi());
-    isel.runOn(f, mf);
+    isel.runOn(f, mf, order);
 }
 
 std::string

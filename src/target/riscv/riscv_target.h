@@ -24,7 +24,8 @@ class RiscvTarget final : public cmn::CommonTarget
     const char *name() const override { return "riscv"; }
     const char *regName(unsigned reg) const override;
 
-    void select(const Function &f, MachineFunction &mf) override;
+    void select(const Function &f, MachineFunction &mf,
+                const BlockOrder &order) override;
     std::string instrToString(const MachineInstr &mi) const override;
 };
 

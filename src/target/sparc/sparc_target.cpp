@@ -124,10 +124,11 @@ SparcTarget::regName(unsigned reg) const
 }
 
 void
-SparcTarget::select(const Function &f, MachineFunction &mf)
+SparcTarget::select(const Function &f, MachineFunction &mf,
+                    const BlockOrder &order)
 {
     SparcISel isel(abi());
-    isel.runOn(f, mf);
+    isel.runOn(f, mf, order);
 }
 
 void

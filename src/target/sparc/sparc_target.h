@@ -22,7 +22,8 @@ class SparcTarget final : public cmn::CommonTarget
     const char *name() const override { return "sparc"; }
     const char *regName(unsigned reg) const override;
 
-    void select(const Function &f, MachineFunction &mf) override;
+    void select(const Function &f, MachineFunction &mf,
+                const BlockOrder &order) override;
     std::string instrToString(const MachineInstr &mi) const override;
 
   protected:

@@ -172,10 +172,11 @@ X86Target::regName(unsigned reg) const
 }
 
 void
-X86Target::select(const Function &f, MachineFunction &mf)
+X86Target::select(const Function &f, MachineFunction &mf,
+                  const BlockOrder &order)
 {
     X86ISel isel(abi());
-    isel.runOn(f, mf);
+    isel.runOn(f, mf, order);
 }
 
 size_t

@@ -22,7 +22,8 @@ class X86Target final : public cmn::CommonTarget
     const char *name() const override { return "x86"; }
     const char *regName(unsigned reg) const override;
 
-    void select(const Function &f, MachineFunction &mf) override;
+    void select(const Function &f, MachineFunction &mf,
+                const BlockOrder &order) override;
     std::string instrToString(const MachineInstr &mi) const override;
 
   protected:

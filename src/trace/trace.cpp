@@ -8,7 +8,7 @@
 namespace llva {
 
 std::vector<Trace>
-formTraces(Function &f, const EdgeProfile &profile,
+formTraces(const Function &f, const EdgeProfile &profile,
            const TraceOptions &opts)
 {
     // Resolve the stable profile rows against the function's current
@@ -146,22 +146,22 @@ TraceCache::coverage(const EdgeProfile &profile) const
                  : 0.0;
 }
 
-void
-applyTraceLayout(Function &f, const std::vector<Trace> &traces)
+BlockOrder
+traceLayoutOrder(const Function &f, const std::vector<Trace> &traces)
 {
     // Pettis–Hansen-style chain merging: each consecutive pair of
     // trace blocks is a hot edge we want as a fallthrough. Chains
     // start as singletons (in original layout order, preserving
     // existing fallthroughs as much as possible) and merge when a
     // hot edge connects one chain's tail to another's head.
-    std::map<BasicBlock *, size_t> chainOf;
-    std::vector<std::vector<BasicBlock *>> chains;
+    std::map<const BasicBlock *, size_t> chainOf;
+    std::vector<BlockOrder> chains;
     for (const auto &bb : f) {
         chainOf[bb.get()] = chains.size();
         chains.push_back({bb.get()});
     }
 
-    auto tryMerge = [&](BasicBlock *a, BasicBlock *b) {
+    auto tryMerge = [&](const BasicBlock *a, const BasicBlock *b) {
         if (a->parent() != &f || b->parent() != &f)
             return;
         size_t ca = chainOf[a], cb = chainOf[b];
@@ -169,7 +169,7 @@ applyTraceLayout(Function &f, const std::vector<Trace> &traces)
             return;
         if (chains[ca].back() != a || chains[cb].front() != b)
             return;
-        for (BasicBlock *bb : chains[cb]) {
+        for (const BasicBlock *bb : chains[cb]) {
             chains[ca].push_back(bb);
             chainOf[bb] = ca;
         }
@@ -182,22 +182,30 @@ applyTraceLayout(Function &f, const std::vector<Trace> &traces)
 
     // Emit: the entry block's chain first, then the remaining
     // chains in original order.
-    std::vector<BasicBlock *> order;
+    BlockOrder order;
     size_t entry_chain = chainOf[f.entryBlock()];
-    for (BasicBlock *bb : chains[entry_chain])
+    for (const BasicBlock *bb : chains[entry_chain])
         order.push_back(bb);
     for (size_t c = 0; c < chains.size(); ++c)
         if (c != entry_chain)
-            for (BasicBlock *bb : chains[c])
+            for (const BasicBlock *bb : chains[c])
                 order.push_back(bb);
 
     // The entry block must stay first; if its chain does not start
     // with it (merged as a tail), fall back to original order.
-    if (order.empty() || order.front() != f.entryBlock())
-        return;
+    if (order.front() != f.entryBlock()) {
+        order.clear();
+        for (const auto &bb : f)
+            order.push_back(bb.get());
+    }
+    return order;
+}
 
-    for (BasicBlock *bb : order)
-        f.moveBlockBefore(bb, nullptr);
+void
+applyTraceLayout(Function &f, const std::vector<Trace> &traces)
+{
+    for (const BasicBlock *bb : traceLayoutOrder(f, traces))
+        f.moveBlockBefore(const_cast<BasicBlock *>(bb), nullptr);
 }
 
 } // namespace llva

@@ -53,7 +53,8 @@ struct TraceOptions
  * blocks that no longer exist (deleted by a pass since the profile
  * was gathered) are ignored.
  */
-std::vector<Trace> formTraces(Function &f, const EdgeProfile &profile,
+std::vector<Trace> formTraces(const Function &f,
+                              const EdgeProfile &profile,
                               const TraceOptions &opts = {});
 
 /**
@@ -89,9 +90,15 @@ class TraceCache
 };
 
 /**
- * Reorder \p f's blocks so each trace is contiguous (trace-driven
- * code layout). Cross-procedure traces are handled per function.
+ * The trace-first block order of \p f (trace-driven code layout):
+ * each trace contiguous, the entry block's chain first, the rest in
+ * \p f's own order. Blocks of other functions in \p traces are
+ * ignored. When the entry block cannot stay first, \p f's own order.
  */
+BlockOrder traceLayoutOrder(const Function &f,
+                            const std::vector<Trace> &traces);
+
+/** Reorder \p f's blocks by traceLayoutOrder(). */
 void applyTraceLayout(Function &f, const std::vector<Trace> &traces);
 
 } // namespace llva

@@ -6,10 +6,16 @@
 
 #include "analysis/dominators.h"
 #include "ir/instructions.h"
+#include "support/statistic.h"
 
 namespace llva {
 
 namespace {
+
+// Every whole-module check, whoever asks (LLEE after decoding,
+// offlineTranslate, the tools, -verify-each after a module pass), is
+// timed here: verification is one layer of the cold path.
+StageTimer VerifyTime("verify.module", "whole-module verification");
 
 class FunctionVerifier
 {
@@ -408,6 +414,7 @@ verifyFunction(const Function &f)
 VerifyResult
 verifyModule(const Module &m)
 {
+    ScopedStageTimer t(VerifyTime);
     VerifyResult r;
     for (const auto &f : m.functions())
         FunctionVerifier(*f, r).run();

@@ -24,6 +24,9 @@ Statistic NumPromotions(
 Statistic NumPromotionFailures(
     "llee.promotion_failures",
     "Trace-tier promotions abandoned after a contained fault");
+Statistic NumPromotionChecks(
+    "vm.promotion_checks",
+    "Promotion queries (maybePromote calls) from the block loop");
 Statistic TraceCoveragePct(
     "trace.coverage",
     "Profiled block executions inside formed traces, in percent "
@@ -72,9 +75,9 @@ CodeManager::chained(const Function *f)
     if (auto entry = entryLocked(f))
         return *entry;
 
-    // A rung that optimizes or lays out the body does so in place
-    // and restores it; the cache API stays const because callers
-    // never observe a change.
+    // A rung that optimizes the body does so in place and restores
+    // it; the cache API stays const because callers never observe a
+    // change.
     return translateWithLadder(*const_cast<Function *>(f));
 }
 
@@ -128,29 +131,30 @@ CodeManager::translateWithLadder(Function &f)
 CodeManager::Translation
 CodeManager::translateRung(Function &f, unsigned tier)
 {
-    // Transform copy-on-write style: snapshot the pristine body,
-    // optimize, lay out and codegen in place, then restore. The
-    // original bytecode stays the single source of truth (lower
-    // tiers, later promotions and the interpreter must see the body
-    // as loaded). The snapshot is the rung's one restore point: any
-    // failure on the way (a pass fault, a blown budget, broken IR, a
-    // trace or codegen fault) abandons the rung. The function
-    // pipeline runs only above the level the module records: its
-    // producer optimized it ahead of time (paper Section 4.2). A rung
-    // with no pass to run and no layout to apply only generates
-    // code, which reads the body, so it takes no snapshot.
+    // Transform copy-on-write style: a rung that runs passes
+    // snapshots the pristine body, optimizes and codegens in place,
+    // then restores. The original bytecode stays the single source
+    // of truth (lower tiers, later promotions and the interpreter
+    // must see the body as loaded). The snapshot is the rung's one
+    // restore point; any failure on the way (a pass fault, a blown
+    // budget, broken IR, a trace or codegen fault) abandons the rung.
+    // The function pipeline runs only above the level the module
+    // records: its producer optimized it ahead of time (paper Section
+    // 4.2). Trace layout is an input to instruction selection, not an
+    // edit of the body, so a rung with no pass to run only reads the
+    // body and takes no snapshot.
     Timer timer;
     Translation t;
     const bool traces = tier == kTierTrace;
     const unsigned level = traces ? opts_.optLevel : tier;
     const bool optimize = level > f.parent()->optimizationLevel();
     const bool extend = bool(hooks_.extendPipeline);
-    const bool mutates = optimize || extend || traces;
+    const bool mutates = optimize || extend;
     FunctionSnapshot pristine;
     if (mutates)
         pristine = FunctionSnapshot::capture(f);
     try {
-        if (optimize || extend) {
+        if (mutates) {
             PassManager pm;
             pm.setVerifyEach(opts_.verifyEach);
             if (optimize)
@@ -160,11 +164,12 @@ CodeManager::translateRung(Function &f, unsigned tier)
             AnalysisManager am;
             pm.runOnFunction(f, am);
         }
+        BlockOrder order;
         if (traces)
-            layOutTraces(f);
+            order = layOutTraces(f);
         if (hooks_.beforeCodegen)
             hooks_.beforeCodegen(f, tier);
-        t.mf = translateFunction(f, target_, opts_, &t.stats);
+        t.mf = translateFunction(f, target_, opts_, &t.stats, order);
     } catch (const std::exception &err) {
         warn("translating '%s' at -O%u%s: %s", f.name().c_str(), level,
              traces ? "+traces" : "", err.what());
@@ -175,17 +180,17 @@ CodeManager::translateRung(Function &f, unsigned tier)
     return t;
 }
 
-void
-CodeManager::layOutTraces(Function &f)
+BlockOrder
+CodeManager::layOutTraces(const Function &f)
 {
     // Form hot traces from the runtime profile. The profile was
     // gathered over machine code produced by this same deterministic
     // pipeline, so its stable block IDs resolve by name against the
     // body this rung translates. The trace cache is scoped to this
     // promotion: it holds BasicBlock pointers into that body, which
-    // dies when the rung restores its snapshot. Only the
-    // stable head IDs outlive it (re-promotion accounting). The
-    // profile is read under its own mutex: worker threads may be
+    // an optimizing rung's restore or a later replacement destroys.
+    // Only the stable head IDs outlive it (re-promotion accounting).
+    // The profile is read under its own mutex: other threads may be
     // merging deltas concurrently.
     std::unique_lock<std::mutex> plock(profileMu_);
     std::vector<Trace> traces = formTraces(f, *profile_, TraceOptions{});
@@ -216,7 +221,7 @@ CodeManager::layOutTraces(Function &f)
                      "trace: %s: coverage %.2f over %zu trace(s)\n",
                      f.name().c_str(), lastCoverage_, cache.size());
     }
-    applyTraceLayout(f, cache.traces());
+    return traceLayoutOrder(f, cache.traces());
 }
 
 void
@@ -339,9 +344,9 @@ CodeManager::replaceFunctionLive(const Function *f)
     if (!f)
         return nullptr;
     std::unique_lock<std::shared_mutex> lock(mu_);
-    // Read the body only under the lock: a promotion or replacement
-    // in flight empties it while restoring its snapshot, so an
-    // unlocked read could mistake f for a declaration.
+    // Read the body only under the lock: a rung in flight that runs
+    // passes empties it while restoring its snapshot, so an unlocked
+    // read could mistake f for a declaration.
     if (f->isDeclaration())
         return nullptr;
     // Drop the installed entry and any interpreter pin, then walk
@@ -411,27 +416,32 @@ CodeManager::promotableLocked(const Function *f) const
            it->second->tier() != kTierTrace && !promoteAttempted_.count(f);
 }
 
-bool
-CodeManager::maybePromote(const Function *f)
+uint64_t
+CodeManager::maybePromote(const Function *f, const EdgeProfile *recording)
 {
-    // Cheap precheck under the shared lock: this runs on every
-    // branch event of a profiled execution, and almost always
-    // rejects (already attempted, wrong tier, or still cold).
+    ++NumPromotionChecks;
+    // Cheap precheck under the shared lock: most queries reject
+    // (already attempted, wrong tier, or still cold).
     {
         std::shared_lock<std::shared_mutex> lock(mu_);
         if (!promotableLocked(f))
-            return false;
+            return UINT64_MAX;
         std::lock_guard<std::mutex> plock(profileMu_);
-        if (profile_->functionSamples(functionId(f->name())) <
-            watermark_)
-            return false;
+        uint64_t samples =
+            profile_->functionSamples(functionId(f->name()));
+        // f's count grows by at most the weight recorded into the
+        // attached profile, so the caller may count the distance
+        // before it asks again; other recordings never move it.
+        if (samples < watermark_)
+            return recording == profile_ ? watermark_ - samples
+                                         : UINT64_MAX;
     }
 
     std::unique_lock<std::shared_mutex> lock(mu_);
     // Re-validate under the exclusive lock: another thread may have
     // promoted, replaced, or invalidated while we upgraded.
     if (!promotableLocked(f))
-        return false;
+        return UINT64_MAX;
 
     // One attempt per function per manager: a failed promotion must
     // not be retried on every subsequent profile event.
@@ -445,13 +455,13 @@ CodeManager::maybePromote(const Function *f)
         ++NumPromotionFailures;
         warn("trace-tier promotion of '%s' failed; keeping tier -O%u",
              f->name().c_str(), static_cast<unsigned>(tierLocked(f)));
-        return false;
+        return UINT64_MAX;
     }
     countTranslation(t);
     installLocked(f, std::move(t.mf), kTierTrace);
     ++promotions_;
     ++NumPromotions;
-    return true;
+    return UINT64_MAX;
 }
 
 size_t

@@ -33,10 +33,11 @@
  * (setAdaptive), a function whose profiled block executions cross
  * the watermark is retranslated at the ladder's top rung —
  * `-O<level>+traces` — which forms hot traces from the profile and
- * applies trace-driven layout before instruction selection. The new
- * body is installed through the same install path; the replaced one
- * is retired, not destroyed, because the simulator may still be
- * executing it (raw pointers into it live in its frames).
+ * hands their trace-first block order to instruction selection; the
+ * IR keeps its own order. The new body is installed through the
+ * same install path; the replaced one is retired, not destroyed,
+ * because the simulator may still be executing it (raw pointers into
+ * it live in its frames).
  *
  * One cache entry per function: a ChainedFunction (vm/chain.h)
  * holds the native body, its chained form — built once, by the
@@ -54,13 +55,13 @@
  *
  * Thread safety: all cache state is guarded by a shared_mutex
  * (readers: dispatch lookups; writers: translation, installation,
- * retirement, reclamation). A rung that optimizes or lays out a
- * body mutates it in place (snapshot/restore), so interpreter-tier
- * execution of a function body — the only concurrent IR *reader* —
- * must hold the shared lock (readLock()) for its duration. The attached profile has its
- * own mutex: simulator threads record into thread-local profiles
- * and publish them with mergeProfile(); promotion reads the merged
- * master under the same lock.
+ * retirement, reclamation). A rung that runs passes mutates the body
+ * in place (snapshot/restore), so interpreter-tier execution of a
+ * function body — the only concurrent IR *reader* — must hold the
+ * shared lock (readLock()) for its duration. The attached profile
+ * has its own mutex: simulator threads record into thread-local
+ * profiles and publish them with mergeProfile(); promotion reads the
+ * merged master under the same lock.
  */
 
 #ifndef LLVA_VM_CODE_MANAGER_H
@@ -259,14 +260,26 @@ class CodeManager
                      ThreadPool * = nullptr);
 
     /**
-     * Promote \p f to the trace tier if its profiled sample count
-     * has crossed the watermark. Safe to call from the simulator's
-     * dispatch loop on every profile event: each function is
-     * attempted at most once per manager, and the currently
-     * executing body stays valid (retired, not destroyed). Returns
-     * true if a promotion was installed now.
+     * Promote \p f to the trace tier if its count in the attached
+     * profile has reached the watermark. Each function is attempted
+     * at most once per manager, and the currently executing body
+     * stays valid (retired, not destroyed).
+     *
+     * Returns how many more events recorded into \p recording (by
+     * weight) the caller may count before the answer can change:
+     * the distance to the watermark while \p recording is the
+     * attached profile, and UINT64_MAX when \p f cannot promote —
+     * no profile, already at the trace tier, already attempted, just
+     * promoted (or failed to), or \p recording is another profile
+     * while the attached one is below the watermark. Only this
+     * caller's events move the attached profile in a single-threaded
+     * run, so asking again only once the budget is spent promotes at
+     * exactly the event that asking on every event would; another
+     * thread's replacement or mergeProfile() is seen at the caller's
+     * next fresh query.
      */
-    bool maybePromote(const Function *f);
+    uint64_t maybePromote(const Function *f,
+                          const EdgeProfile *recording);
 
     /** Fold a thread-local profile delta into the attached master
      *  profile (no-op without one). Worker threads publish their
@@ -340,17 +353,19 @@ class CodeManager
      * kTierTrace, promotion (`-O<level>+traces`): optimize at the
      * level when it is above the module's record, run the
      * extendPipeline hook's passes, form traces from the attached
-     * profile and lay them out when promoting, then codegen. A rung
-     * that changes the body on the way snapshots it first and
-     * restores it after. Any failure on the way is warned about with
-     * its cause and yields no body. The function body is left
-     * exactly as found. Caller holds mu_ exclusively.
+     * profile when promoting, then codegen, in the trace-first block
+     * order when there is one. Only a rung that runs passes changes
+     * the body: it snapshots it first and restores it after, so a
+     * promotion on a module recorded at its level takes no snapshot
+     * and writes nothing to the IR. Any failure on the way is warned
+     * about with its cause and yields no body. The function body is
+     * left exactly as found. Caller holds mu_ exclusively.
      */
     Translation translateRung(Function &f, unsigned tier);
 
     /** Promotion's step of the rung: form traces from the attached
-     *  profile and apply trace-first layout to \p f. */
-    void layOutTraces(Function &f);
+     *  profile and return \p f's trace-first block order. */
+    BlockOrder layOutTraces(const Function &f);
 
     // The following helpers assume mu_ is held (shared suffices for
     // the const ones, exclusive for the rest).
@@ -396,9 +411,11 @@ class CodeManager
 
     // Adaptive promotion state. Replaced translations are retired
     // (never destroyed mid-run): the simulator's call frames hold
-    // raw pointers into the old body. The TraceCache itself is scoped inside each promotion — it indexes
-    // BasicBlock pointers of the *optimized* body, which die when
-    // the snapshot is restored; only stable head IDs persist here.
+    // raw pointers into the old body. The TraceCache itself is
+    // scoped inside each promotion — it indexes BasicBlock pointers
+    // of the body the rung translates, which an optimizing rung's
+    // restore or a later replacement destroys; only stable head IDs
+    // persist here.
     mutable std::mutex profileMu_; ///< guards *profile_ contents
     EdgeProfile *profile_ = nullptr;
     uint64_t watermark_ = 0;

@@ -77,8 +77,12 @@ Interpreter::run(const Function *f, const std::vector<RtValue> &args)
  * (profile, phis), the dispatch loop, the return to the caller's call
  * site, and unwinding to the nearest invoke. A trap anywhere ends the
  * whole run at `done`.
+ *
+ * The loop starts on a cache line. At the default 16-byte alignment,
+ * runs that are almost all interpreter time took about 20% longer
+ * when unrelated code linked before it grew by 368 bytes.
  */
-ExecResult
+__attribute__((aligned(64))) ExecResult
 Interpreter::invoke(const Function *f, const std::vector<RtValue> &args,
                     uint64_t stackBase, size_t depth)
 {

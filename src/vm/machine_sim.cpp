@@ -55,13 +55,14 @@ recordSample(EdgeProfile *profile, BlockId from, BlockId to,
 
 // Events are recorded every interval-th occurrence with matching
 // weight, so totals stay in execution units.
-inline void
+inline uint64_t
 MachineSimulator::Meter::note(BlockId from, BlockId to)
 {
     if (!profile || --countdown)
-        return;
+        return 0;
     countdown = interval;
     recordSample(profile, from, to, interval);
+    return interval;
 }
 
 /** The pause predicate, evaluated at every pause point. */
@@ -221,10 +222,14 @@ MachineSimulator::drive(Activation &a)
  * points, where the resume position is exactly (block, index). The
  * chain never changes after its build, so the walk stays in
  * registers; the position is synced back on exit. A body installed
- * below the trace tier checks for promotion on every branch: branches
+ * below the trace tier may be promoted at a taken branch: branches
  * carry the loop back-edges, so this is where its sample count can
- * cross the watermark. The running activation keeps its body (the
- * replaced entry is retired, not destroyed).
+ * cross the watermark. It asks at the first taken branch of each
+ * entry, and again only once the events it has recorded since reach
+ * the budget the last answer gave (maybePromote): a call-free loop
+ * asks twice, not once per iteration, and still promotes at the same
+ * branch. The running activation keeps its body (the replaced entry
+ * is retired, not destroyed).
  */
 bool
 MachineSimulator::runChained(Activation &a)
@@ -236,6 +241,8 @@ MachineSimulator::runChained(Activation &a)
         m.profile && a.chain->tier() != kTierTrace
             ? a.chain->function()->source()
             : nullptr;
+    uint64_t recorded = 0; // profile weight since the last query
+    uint64_t budget = 0;   // weight that may pass before the next
     bool event = false;
     while (!pauseDue(m.executed)) {
         const ChainedInstr *end = cb->end;
@@ -260,11 +267,13 @@ MachineSimulator::runChained(Activation &a)
             }
             next = ip->target;
         }
-        m.note(cb->id, next->id);
+        recorded += m.note(cb->id, next->id);
         cb = next;
         ip = cb->begin;
-        if (branch && promotable)
-            code_.maybePromote(promotable);
+        if (branch && promotable && recorded >= budget) {
+            budget = code_.maybePromote(promotable, m.profile);
+            recorded = 0;
+        }
     }
     a.block = cb;
     a.index = size_t(ip - cb->begin);

@@ -67,8 +67,15 @@ class MachineSimulator
      * IDs — machine blocks carry their source blocks' names through
      * instruction selection and the mcode cache — so the same
      * profile can seed trace formation on the IR and be persisted
-     * across runs. Every profile event also gives the CodeManager a
-     * chance to promote the hot function to the trace tier.
+     * across runs. While profiling, a body below the trace tier asks
+     * the CodeManager whether to promote it (maybePromote) at the
+     * first taken branch of each entry, then again only once the
+     * weight recorded here since reaches the distance to the
+     * watermark that the answer gave. When \p profile is the
+     * manager's attached profile, promotion therefore lands at the
+     * same taken branch as asking on every branch would. Another
+     * thread's replaceFunctionLive() or mergeProfile() is seen at the
+     * next body entry (after a call, return, unwind or pause).
      */
     void setProfile(EdgeProfile *profile) { meter_.profile = profile; }
 
@@ -162,8 +169,9 @@ class MachineSimulator
         bool tick() { return ++executed <= limit; }
 
         /** Record the block entry \p from -> \p to if it is the
-         *  sampled one (BlockId{} = entry with no predecessor). */
-        void note(BlockId from, BlockId to);
+         *  sampled one (BlockId{} = entry with no predecessor);
+         *  returns the weight recorded (0 when not sampled). */
+        uint64_t note(BlockId from, BlockId to);
     };
 
     /** Releases an epoch pin when its owner goes away. */

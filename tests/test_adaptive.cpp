@@ -9,11 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+
 #include "bytecode/bytecode.h"
 #include "llee/envelope.h"
 #include "llee/llee.h"
 #include "parser/parser.h"
+#include "support/statistic.h"
 #include "trace/profile.h"
+#include "transforms/pass.h"
 #include "verifier/verifier.h"
 #include "vm/interpreter.h"
 #include "vm/machine_sim.h"
@@ -389,5 +394,305 @@ TEST(Adaptive, SimulatorProfileMatchesInterpreterOnHotBlocks)
         }
         ASSERT_GE(cm.chainedFunctions(), 1u) << target;
         expectInterpreterCounts(*m, chained, target + " warm chained");
+    }
+}
+
+// --- Where promotion lands -------------------------------------------
+//
+// The block loop asks the code manager about promotion at the first
+// taken branch of each body entry and then only once the profile
+// weight it recorded reaches the distance to the watermark. These
+// runs pin each function's count in the attached profile at the
+// moment its trace-tier rung ran, to the counts of asking on every
+// taken branch.
+
+namespace {
+
+// A loop with no calls, 10 000 iterations long.
+const char *kCallFreeLoop = R"(
+int %main() {
+entry:
+    br label %head
+head:
+    %i = phi int [ 0, %entry ], [ %i2, %head ]
+    %acc = phi int [ 0, %entry ], [ %acc2, %head ]
+    %acc2 = add int %acc, %i
+    %i2 = add int %i, 1
+    %more = setlt int %i2, 10000
+    br bool %more, label %head, label %out
+out:
+    ret int %acc2
+}
+)";
+
+// A loop that calls a leaf function with a branch of its own.
+const char *kLeafCalls = R"(
+internal int %leaf(int %x) {
+entry:
+    %odd = rem int %x, 2
+    %isodd = seteq int %odd, 1
+    br bool %isodd, label %o, label %e
+o:
+    %a = mul int %x, 3
+    br label %done
+e:
+    %b = add int %x, 7
+    br label %done
+done:
+    %r = phi int [ %a, %o ], [ %b, %e ]
+    ret int %r
+}
+int %main() {
+entry:
+    br label %loop
+loop:
+    %j = phi int [ 0, %entry ], [ %j2, %loop ]
+    %acc = phi int [ 0, %entry ], [ %acc2, %loop ]
+    %w = call int %leaf(int %j)
+    %acc2 = add int %acc, %w
+    %j2 = add int %j, 1
+    %more = setlt int %j2, 3000
+    br bool %more, label %loop, label %out
+out:
+    ret int %acc2
+}
+)";
+
+const char *kRecursive = R"(
+internal int %fib(int %n) {
+entry:
+    %small = setlt int %n, 2
+    br bool %small, label %base, label %rec
+base:
+    ret int %n
+rec:
+    %n1 = sub int %n, 1
+    %a = call int %fib(int %n1)
+    %n2 = sub int %n, 2
+    %b = call int %fib(int %n2)
+    %s = add int %a, %b
+    ret int %s
+}
+int %main() {
+entry:
+    %r = call int %fib(int 18)
+    ret int %r
+}
+)";
+
+/** What one profiled run promoted, and where. */
+struct Landing
+{
+    /** Each promoted function's count in the attached profile when
+     *  its trace-tier rung ran. */
+    std::map<std::string, uint64_t> countAt;
+    size_t promotions = 0;
+    uint64_t checks = 0; ///< vm.promotion_checks taken by the run
+};
+
+using Drive =
+    std::function<ExecResult(MachineSimulator &, const Function *)>;
+
+ExecResult
+runToEnd(MachineSimulator &sim, const Function *f)
+{
+    return sim.run(f);
+}
+
+/**
+ * Run \p source's main on \p target at -O2 under an adaptive manager
+ * whose attached profile is \p attached, with the simulator
+ * recording into it; \p drive may reconfigure the simulator and runs
+ * it. The result must match the interpreter's.
+ */
+Landing
+land(const std::string &target, const char *source, uint64_t watermark,
+     EdgeProfile &attached, const Drive &drive = runToEnd)
+{
+    auto m = parseAssembly(source).orDie();
+    Landing out;
+    CodeManager cm(*getTarget(target), adaptiveOpts(watermark));
+    cm.setAdaptive(&attached, watermark);
+    TranslationHooks hooks;
+    hooks.beforeCodegen = [&](const Function &f, unsigned tier) {
+        if (tier == kTierTrace)
+            out.countAt[f.name()] =
+                attached.functionSamples(functionId(f.name()));
+    };
+    cm.setHooks(hooks);
+
+    ExecutionContext ctx(*m);
+    MachineSimulator sim(ctx, cm);
+    sim.setProfile(&attached);
+    uint64_t checks = stats::value("vm.promotion_checks");
+    ExecResult r = drive(sim, m->getFunction("main"));
+    out.checks = stats::value("vm.promotion_checks") - checks;
+    out.promotions = cm.promotions();
+
+    ExecutionContext refCtx(*m);
+    Interpreter interp(refCtx);
+    ExecResult want = interp.run(m->getFunction("main"));
+    EXPECT_TRUE(r.ok()) << target;
+    EXPECT_EQ(r.value.i, want.value.i) << target;
+    return out;
+}
+
+using Counts = std::map<std::string, uint64_t>;
+
+} // namespace
+
+TEST(Adaptive, PromotionLandsWhereItDidInACallFreeLoop)
+{
+    // Every event of the one-block loop is a taken branch; kHotLoop's
+    // crossing can fall on a fallthrough, and promotion then waits
+    // for the back-edge.
+    for (const std::string &target : targetNames()) {
+        EdgeProfile one, hot;
+        EXPECT_EQ(land(target, kCallFreeLoop, 1000, one).countAt,
+                  (Counts{{"main", 1000}}))
+            << target;
+        EXPECT_EQ(land(target, kHotLoop, 778, hot).countAt,
+                  (Counts{{"main", 779}}))
+            << target;
+    }
+}
+
+TEST(Adaptive, PromotionLandsWhereItDidInALoopCallingALeaf)
+{
+    for (const std::string &target : targetNames()) {
+        EdgeProfile profile;
+        Landing l = land(target, kLeafCalls, 777, profile);
+        EXPECT_EQ(l.countAt, (Counts{{"leaf", 779}, {"main", 777}}))
+            << target;
+    }
+}
+
+TEST(Adaptive, PromotionLandsWhereItDidInARecursiveFunction)
+{
+    for (const std::string &target : targetNames()) {
+        EdgeProfile profile;
+        Landing l = land(target, kRecursive, 777, profile);
+        EXPECT_EQ(l.countAt, (Counts{{"fib", 778}})) << target;
+    }
+}
+
+TEST(Adaptive, PromotionLandsWhereItDidWhenSampling)
+{
+    auto sampled = [](MachineSimulator &sim, const Function *f) {
+        sim.setProfileSampleInterval(16);
+        return sim.run(f);
+    };
+    for (const std::string &target : targetNames()) {
+        EdgeProfile calls, loop;
+        EXPECT_EQ(land(target, kLeafCalls, 777, calls, sampled).countAt,
+                  (Counts{{"leaf", 784}}))
+            << target;
+        // A loop with no calls spends its budget in weighted samples.
+        EXPECT_EQ(land(target, kHotLoop, 778, loop, sampled).countAt,
+                  (Counts{{"main", 784}}))
+            << target;
+    }
+}
+
+TEST(Adaptive, PromotionLandsWhereItDidAcrossAPause)
+{
+    // Paused well before main crosses the watermark, then resumed:
+    // the resumed entry asks afresh.
+    for (const std::string &target : targetNames()) {
+        EdgeProfile profile;
+        auto paused = [&](MachineSimulator &sim, const Function *f) {
+            sim.setPauseAt(2000);
+            ExecResult first = sim.run(f);
+            EXPECT_TRUE(first.paused) << target;
+            EXPECT_LT(profile.functionSamples(functionId("main")), 778u)
+                << target;
+            return sim.resume();
+        };
+        Landing l = land(target, kHotLoop, 778, profile, paused);
+        EXPECT_EQ(l.countAt, (Counts{{"main", 779}})) << target;
+    }
+}
+
+TEST(Adaptive, PreloadedProfilePromotesAtTheFirstTakenBranch)
+{
+    for (const std::string &target : targetNames()) {
+        EdgeProfile profile;
+        profile.noteId(BlockId{}, {functionId("main"), fnv1a("head")},
+                       778);
+        Landing l = land(target, kHotLoop, 778, profile);
+        EXPECT_EQ(l.countAt, (Counts{{"main", 781}})) << target;
+        EXPECT_EQ(l.checks, 1u) << target;
+    }
+}
+
+TEST(Adaptive, RecordingIntoAnotherProfileDoesNotPromote)
+{
+    // The attached profile stays below the watermark: events recorded
+    // elsewhere never move it, so the loop asks once and runs on.
+    for (const std::string &target : targetNames()) {
+        EdgeProfile attached, other;
+        auto elsewhere = [&](MachineSimulator &sim, const Function *f) {
+            sim.setProfile(&other);
+            return sim.run(f);
+        };
+        Landing l = land(target, kCallFreeLoop, 1000, attached, elsewhere);
+        EXPECT_EQ(l.promotions, 0u) << target;
+        EXPECT_TRUE(l.countAt.empty()) << target;
+        EXPECT_GT(other.functionSamples(functionId("main")), 1000u)
+            << target;
+        EXPECT_EQ(l.checks, 1u) << target;
+    }
+}
+
+TEST(Adaptive, CallFreeLoopAsksAboutPromotionAtMostTwice)
+{
+    for (const std::string &target : targetNames()) {
+        EdgeProfile profile;
+        Landing l = land(target, kCallFreeLoop, 1000, profile);
+        EXPECT_EQ(l.promotions, 1u) << target;
+        EXPECT_LE(l.checks, 2u) << target;
+    }
+}
+
+TEST(Adaptive, PromotionOfARecordedModuleKeepsItsIRBlocks)
+{
+    // Trace layout reaches instruction selection as a block order:
+    // a promotion on a module recorded at its level runs no pass, so
+    // it takes no snapshot, whose restore would replace every block.
+    for (const std::string &target : targetNames()) {
+        auto m = parseAssembly(kHotLoop).orDie();
+        PassManager pm;
+        addStandardPasses(pm, 2);
+        pm.run(*m);
+        ASSERT_EQ(m->optimizationLevel(), 2u);
+        Function *f = m->getFunction("main");
+        std::vector<const BasicBlock *> before;
+        for (const auto &bb : *f)
+            before.push_back(bb.get());
+
+        CodeManager cm(*getTarget(target), adaptiveOpts(500));
+        EdgeProfile profile;
+        cm.setAdaptive(&profile, 500);
+        ExecutionContext ctx(*m);
+        MachineSimulator sim(ctx, cm);
+        sim.setProfile(&profile);
+        ASSERT_TRUE(sim.run(f).ok()) << target;
+        ASSERT_EQ(cm.tierOf(f), kTierTrace) << target;
+
+        std::vector<const BasicBlock *> after;
+        for (const auto &bb : *f)
+            after.push_back(bb.get());
+        EXPECT_EQ(after, before) << target;
+
+        // The promoted body is laid out trace-first all the same:
+        // 'cold', between 'head' and 'hot' in the IR, moves behind
+        // the hot path.
+        std::vector<std::string> irNames, machineNames;
+        for (const BasicBlock *bb : after)
+            irNames.push_back(bb->name());
+        for (const auto &mbb : cm.cached(f)->blocks())
+            machineNames.push_back(mbb->name());
+        EXPECT_NE(machineNames, irNames) << target;
+        EXPECT_EQ(machineNames.front(), irNames.front()) << target;
     }
 }

@@ -195,6 +195,25 @@ TEST(Pipeline, PassTimingsArePopulated)
     EXPECT_NE(report.find("total"), std::string::npos);
 }
 
+TEST(Pipeline, ModuleVerificationIsTimedAsAStage)
+{
+    const StageTimer *verify = nullptr;
+    for (const StageTimer *t : stats::allTimers())
+        if (std::string(t->name()) == "verify.module")
+            verify = t;
+    ASSERT_NE(verify, nullptr);
+    auto m = buildWorkload("ptrdist-anagram");
+    uint64_t before = verify->invocations();
+    EXPECT_TRUE(verifyModule(*m).ok());
+    EXPECT_EQ(verify->invocations(), before + 1);
+    // Function-at-a-time checks (-verify-each after a function pass)
+    // are part of that pass's time.
+    EXPECT_TRUE(verifyFunction(*m->getFunction("main")).ok());
+    EXPECT_EQ(verify->invocations(), before + 1);
+    EXPECT_NE(stats::timingReport().find("verify.module"),
+              std::string::npos);
+}
+
 TEST(Pipeline, StatsReportNamesPipelineCounters)
 {
     auto m = buildWorkload("ptrdist-anagram");

@@ -86,7 +86,8 @@ usage()
                                              entries; --repair deletes them
 
   -stats        print pipeline statistic counters to stderr
-  -time-passes  print per-pass wall-clock timing to stderr
+  -time-passes  print per-pass and per-stage (verification, code
+                generation) wall-clock timing to stderr
   -verify-each  run the IR verifier after every pass and name the
                 first pass that broke the module
   -opt-bisect-limit=N
@@ -318,8 +319,10 @@ toolOpt(const std::vector<std::string> &args)
     for (const auto &p : pm.changedPasses())
         std::printf(" %s", p.c_str());
     std::printf("\n");
-    if (timePasses)
+    if (timePasses) {
         std::fputs(pm.timingReport().c_str(), stderr);
+        std::fputs(stats::timingReport().c_str(), stderr);
+    }
     if (printStats)
         std::fputs(stats::report().c_str(), stderr);
     return 0;
