@@ -87,18 +87,20 @@ class ModuleReader
     }
 
     /**
-     * Error-path cleanup: destroy the half-built module first (its
-     * instructions drop their operand uses), then any orphaned
-     * forward-reference placeholders, so nothing leaks when run()
-     * throws out of the middle of a function body.
+     * Error-path cleanup: free any orphaned forward-reference
+     * placeholders, moving the half-built module's uses of them to
+     * its own undef, then destroy the module, so nothing leaks when
+     * run() throws out of the middle of a function body.
      */
     void
     discard()
     {
-        m_.reset();
-        for (auto &[id, ph] : forwards_)
+        for (auto &[id, ph] : forwards_) {
+            ph->replaceAllUsesWith(m_->constantUndef(ph->type()));
             delete ph;
+        }
         forwards_.clear();
+        m_.reset();
     }
 
   private:

@@ -13,11 +13,44 @@ Module::Module(const std::string &name)
 Module::~Module()
 {
     // Functions/globals may reference each other (calls, global
-    // references); sever all def-use edges before anything dies.
-    for (auto &f : functions_)
-        for (auto &bb : *f)
-            for (auto &inst : *bb)
-                inst->dropAllOperands();
+    // references), so every def-use edge must go before anything
+    // dies. Both ends of each edge die here, so forget them all in
+    // one pass rather than unlinking each operand from its value's
+    // use list, a search per use of every shared constant, global
+    // and callee. Forward-reference placeholders of a failed parse
+    // or read are released by their owners first; an edge to or
+    // from any other value outside the module shows as a mismatch
+    // between the operands and the uses forgotten.
+    size_t operands = 0, uses = 0;
+    auto forgetUses = [&uses](Value *v) {
+        uses += v->users_.size();
+        v->users_.clear();
+    };
+    for (auto &f : functions_) {
+        forgetUses(f.get());
+        for (auto &arg : f->args())
+            forgetUses(arg.get());
+        for (auto &bb : *f) {
+            forgetUses(bb.get());
+            for (auto &inst : *bb) {
+                User *u = inst.get();
+                for (Value *v : u->operands_)
+                    operands += v != nullptr;
+                u->operands_.clear();
+                forgetUses(u);
+            }
+        }
+    }
+    for (auto &g : globals_)
+        forgetUses(g.get());
+    for (auto &c : ownedConstants_)
+        forgetUses(c.get());
+    for (auto &c : ownedAggregates_)
+        forgetUses(c.get());
+    LLVA_ASSERT(operands == uses,
+                "module '%s' torn down with %zu operands but %zu uses: "
+                "a def-use edge crosses the module boundary",
+                name_.c_str(), operands, uses);
 }
 
 Function *

@@ -78,6 +78,7 @@ class Value
 
   private:
     friend class User;
+    friend class Module; // its teardown forgets every use at once
     void addUser(User *u) { users_.push_back(u); }
     void removeUser(User *u);
 
@@ -161,6 +162,7 @@ class User : public Value
     }
 
   private:
+    friend class Module; // its teardown forgets every use at once
     std::vector<Value *> operands_;
 };
 

@@ -28,14 +28,18 @@ class Parser
     /**
      * Failure cleanup: forward-reference placeholders are owned by
      * the parser until resolution, so an abandoned parse must free
-     * the ones still outstanding. Only safe once the module (whose
-     * instructions may hold operand edges to them) is destroyed.
+     * the ones still outstanding. The module's instructions may
+     * still use them: those uses move to the module's own undef
+     * first, so the module can drop its edges in one pass when it
+     * dies.
      */
     void
     freeForwardPlaceholders()
     {
-        for (auto &[name, fwd] : forwards_)
+        for (auto &[name, fwd] : forwards_) {
+            fwd->replaceAllUsesWith(m_.constantUndef(fwd->type()));
             delete fwd;
+        }
         forwards_.clear();
     }
 
@@ -1002,12 +1006,11 @@ parseAssembly(const std::string &source, const std::string &module_name)
     try {
         p.run();
     } catch (const FatalError &e) {
-        // Destruction order matters: instructions in the half-built
-        // module may still hold operand edges to the parser's
-        // forward-reference placeholders. Destroy the module first
-        // (severing those edges), then free the placeholders.
-        m.reset();
+        // Instructions in the half-built module may still hold
+        // operand edges to the parser's forward-reference
+        // placeholders: release those before the module dies.
         p.freeForwardPlaceholders();
+        m.reset();
         return Error(std::string("parse error: ") + e.what());
     }
     return m;

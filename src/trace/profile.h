@@ -92,9 +92,11 @@ struct EdgeProfile
 
     /**
      * \p from == BlockId{} records a block entry with no edge.
-     * \p weight > 1 is how sampled profiling keeps counts in
-     * execution units: recording every Nth event with weight N
-     * estimates the same totals at 1/N the map traffic.
+     * \p weight counts \p weight events at once: the simulator
+     * folds each profile slot's summed count in one call, and under
+     * sampling every Nth event carries weight N, so totals stay in
+     * execution units. Three map updates, so the simulator calls it
+     * per slot at its fold points, never per event.
      */
     void
     noteId(const BlockId &from, const BlockId &to,

@@ -34,23 +34,33 @@ ChainedFunction::ChainedFunction(std::unique_ptr<MachineFunction> mf,
     // both up front so neither moves while it is built.
     code_.reserve(n);
     blocks_.resize(mbbs.size() + 1);
+    // The sentinel keeps BlockId{}, as a fallthrough into it records.
+    std::vector<BlockId> ids(blocks_.size());
+    for (const auto &mbb : mbbs)
+        ids[mbb->index()] = BlockId{mf_->nameHash(), mbb->nameHash()};
     size_t links = 0;
     for (const auto &mbb : mbbs) {
-        ChainedBlock &cb = blocks_[mbb->index()];
-        cb.id = BlockId{mf_->nameHash(), mbb->nameHash()};
+        const unsigned i = mbb->index();
+        ChainedBlock &cb = blocks_[i];
         cb.begin = code_.data() + code_.size();
+        cb.entrySlot = uint32_t(slots_.size());
+        slots_.push_back({BlockId{}, ids[i]});
+        cb.fallSlot = uint32_t(slots_.size());
+        slots_.push_back({ids[i], ids[i + 1]});
         for (const auto &mi : mbb->instrs()) {
-            const ChainedBlock *to = nullptr;
+            ChainedInstr ci{mi.get(), target.handlerFor(*mi)};
             for (const MOperand &op : mi->ops) {
                 if (op.kind != MOperand::Block)
                     continue;
                 LLVA_ASSERT(op.block->parent() == mf_.get(),
                             "chaining a block of another function");
-                to = &blocks_[op.block->index()];
+                ci.target = &blocks_[op.block->index()];
+                ci.slot = uint32_t(slots_.size());
+                slots_.push_back({ids[i], ids[op.block->index()]});
                 ++links;
                 break;
             }
-            code_.push_back({mi.get(), target.handlerFor(*mi), to});
+            code_.push_back(ci);
         }
         cb.end = code_.data() + code_.size();
     }

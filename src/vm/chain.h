@@ -9,7 +9,15 @@
  *    Target::handlerFor;
  *  - each instruction's first block operand (the branch target, or
  *    an invoke's normal destination) is resolved to its chained
- *    block, and a fallthrough is simply the next block of the array.
+ *    block, and a fallthrough is simply the next block of the array;
+ *  - every profile event the body can take is numbered as a slot:
+ *    per block an entry with no predecessor (a call, an invoke
+ *    resumption, an unwind landing) and the fallthrough, and per
+ *    instruction with a block operand the edge to its target. The
+ *    chain keeps each slot's (from, to) BlockId pair, so a
+ *    simulator counts an event with one add into a dense array of
+ *    its own and folds the array into an EdgeProfile only where the
+ *    profile is read.
  *
  * Dispatch is then one indirect call per instruction and one pointer
  * hop per block transition: no map lookup, no name hashing, no lazy
@@ -24,6 +32,7 @@
 #define LLVA_VM_CHAIN_H
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "codegen/target.h"
@@ -40,15 +49,18 @@ struct ChainedInstr
     ExecFn fn = nullptr; ///< Target::handlerFor(*mi)
     /** The chained block of the first block operand, or nullptr. */
     const ChainedBlock *target = nullptr;
+    /** The profile slot of the edge to target (when there is one). */
+    uint32_t slot = 0;
 };
 
 /** The chained form of one machine basic block: a slice of the
  *  body's instruction array. */
 struct ChainedBlock
 {
-    BlockId id; ///< stable profile ID
     const ChainedInstr *begin = nullptr;
     const ChainedInstr *end = nullptr;
+    uint32_t entrySlot = 0; ///< an entry with no predecessor
+    uint32_t fallSlot = 0;  ///< the fallthrough to the next block
 };
 
 /**
@@ -59,6 +71,10 @@ struct ChainedBlock
 class ChainedFunction
 {
   public:
+    /** The block entry a profile slot counts: from is BlockId{} for
+     *  an entry with no predecessor. */
+    using Edge = std::pair<BlockId, BlockId>;
+
     ChainedFunction(std::unique_ptr<MachineFunction> mf,
                     const Target &target, uint8_t tier);
     /** Simulator frames hold its address, and it points into itself. */
@@ -77,6 +93,9 @@ class ChainedFunction
         return &blocks_[mbb->index()];
     }
 
+    /** Profile slots, numbered 0 .. slots().size() - 1. */
+    const std::vector<Edge> &slots() const { return slots_; }
+
   private:
     std::unique_ptr<MachineFunction> mf_;
     uint8_t tier_;
@@ -84,6 +103,7 @@ class ChainedFunction
     /** In layout order, plus a sentinel that a fallthrough off the
      *  last block reaches (its one instruction panics). */
     std::vector<ChainedBlock> blocks_;
+    std::vector<Edge> slots_;
 };
 
 } // namespace llva

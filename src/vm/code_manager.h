@@ -61,7 +61,11 @@
  * shared lock (readLock()) for its duration. The attached profile
  * has its own mutex: simulator threads record into thread-local
  * profiles and publish them with mergeProfile(); promotion reads the
- * merged master under the same lock.
+ * merged master under the same lock. A simulator itself shares no
+ * profile state: it counts into slot arrays its running activation
+ * owns and folds them into the profile it records into on its own
+ * thread (see MachineSimulator::setProfile), so only a simulator
+ * alone on its manager may record into the attached profile.
  */
 
 #ifndef LLVA_VM_CODE_MANAGER_H

@@ -41,29 +41,7 @@ invokeBlockOperand(const MachineInstr &mi, unsigned which)
     panic("invoke site lacks handler blocks");
 }
 
-/** The slow half of a profile sample, kept out of line so that
- *  inlining Meter::note() leaves the loop's meter in registers. */
-void
-recordSample(EdgeProfile *profile, BlockId from, BlockId to,
-             uint64_t weight)
-{
-    profile->noteId(from, to, weight);
-    NumProfileSamples += weight;
-}
-
 } // namespace
-
-// Events are recorded every interval-th occurrence with matching
-// weight, so totals stay in execution units.
-inline uint64_t
-MachineSimulator::Meter::note(BlockId from, BlockId to)
-{
-    if (!profile || --countdown)
-        return 0;
-    countdown = interval;
-    recordSample(profile, from, to, interval);
-    return interval;
-}
 
 /** The pause predicate, evaluated at every pause point. */
 inline bool
@@ -114,6 +92,7 @@ MachineSimulator::resume()
     // checkpointed: re-wire the transient pointers.
     a.state.mem = &ctx_.memory();
     a.state.globalAddrs = &ctx_.globalAddrs();
+    bindCounts(a);
     return deliverTrap(drive(a));
 }
 
@@ -172,6 +151,7 @@ MachineSimulator::start(const Function *f,
         return r;
     }
     a.block = a.chain->entry();
+    bindCounts(a);
     noteEntry(a);
     return drive(a);
 }
@@ -179,36 +159,46 @@ MachineSimulator::start(const Function *f,
 /**
  * The activation loop: run the current body up to its next call,
  * return, unwind or trap, and let the frame core act on that; or
- * park the activation when a pause lands.
+ * park the activation when a pause lands. However the activation
+ * stops — paused, returned, trapped, out of budget or failed — its
+ * tally is folded into the profile before drive() is left.
  */
 ExecResult
 MachineSimulator::drive(Activation &a)
 {
     ExecResult r;
-    for (bool running = true; running;) {
-        if (!runChained(a)) {
-            // Park at the saved position; the epoch pin goes along.
-            pauseFlag_.store(false, std::memory_order_relaxed);
-            pauseAt_.store(0, std::memory_order_relaxed);
-            ++NumPauses;
-            parked_.emplace(std::move(a));
-            r.paused = true;
-            break;
+    try {
+        for (bool running = true; running;) {
+            if (!runChained(a)) {
+                r.paused = true;
+                break;
+            }
+            switch (a.state.next) {
+              case SimState::Next::Call:
+                running = call(a, r);
+                break;
+              case SimState::Next::Return:
+                running = ret(a, r);
+                break;
+              case SimState::Next::Unwind:
+                running = unwind(a, r);
+                break;
+              default: // Trap: the block loop consumes Fall and Branch
+                r.trap = a.state.trapKind;
+                running = false;
+            }
         }
-        switch (a.state.next) {
-          case SimState::Next::Call:
-            running = call(a, r);
-            break;
-          case SimState::Next::Return:
-            running = ret(a, r);
-            break;
-          case SimState::Next::Unwind:
-            running = unwind(a, r);
-            break;
-          default: // Trap: the block loop consumes Fall and Branch
-            r.trap = a.state.trapKind;
-            running = false;
-        }
+    } catch (...) {
+        fold(a);
+        throw;
+    }
+    fold(a);
+    if (r.paused) {
+        // Park at the saved position; the epoch pin goes along.
+        pauseFlag_.store(false, std::memory_order_relaxed);
+        pauseAt_.store(0, std::memory_order_relaxed);
+        ++NumPauses;
+        parked_.emplace(std::move(a));
     }
     r.instructionsExecuted = meter_.executed;
     return r;
@@ -229,12 +219,15 @@ MachineSimulator::drive(Activation &a)
  * the budget the last answer gave (maybePromote): a call-free loop
  * asks twice, not once per iteration, and still promotes at the same
  * branch. The running activation keeps its body (the replaced entry
- * is retired, not destroyed).
+ * is retired, not destroyed). Each event is one add into the running
+ * chain's counts; a query first folds the asked function's counts,
+ * which are what it and trace formation read.
  */
 bool
 MachineSimulator::runChained(Activation &a)
 {
     Meter m = meter_;
+    uint64_t *counts = a.counts;
     const ChainedBlock *cb = a.block;
     const ChainedInstr *ip = cb->begin + a.index;
     const Function *promotable =
@@ -259,6 +252,7 @@ MachineSimulator::runChained(Activation &a)
         }
         // Elided fallthrough jump: the next block in layout order.
         const ChainedBlock *next = cb + 1;
+        uint32_t slot = cb->fallSlot;
         const bool branch = ip != end;
         if (branch) {
             if (a.state.next != SimState::Next::Branch) {
@@ -266,11 +260,13 @@ MachineSimulator::runChained(Activation &a)
                 break;
             }
             next = ip->target;
+            slot = ip->slot;
         }
-        recorded += m.note(cb->id, next->id);
+        recorded += m.note(counts, slot);
         cb = next;
         ip = cb->begin;
         if (branch && promotable && recorded >= budget) {
+            fold(a, promotable);
             budget = code_.maybePromote(promotable, m.profile);
             recorded = 0;
         }
@@ -288,7 +284,54 @@ MachineSimulator::runChained(Activation &a)
 void
 MachineSimulator::noteEntry(const Activation &a)
 {
-    meter_.note(BlockId{}, a.block->id);
+    meter_.note(a.counts, a.block->entrySlot);
+}
+
+uint64_t *
+MachineSimulator::countsFor(Activation &a, const ChainedFunction *chain)
+{
+    auto [it, fresh] = a.tally.try_emplace(chain);
+    if (fresh)
+        it->second.assign(chain->slots().size(), 0);
+    return it->second.data();
+}
+
+/** Also after a restore, or a profile set while the activation was
+ *  parked; without a profile the counts are never touched. */
+void
+MachineSimulator::bindCounts(Activation &a)
+{
+    if (!meter_.profile)
+        return;
+    a.counts = countsFor(a, a.chain);
+    for (Frame &fr : a.frames)
+        fr.counts = countsFor(a, fr.chain);
+}
+
+/** Each count goes in with its summed weight, so the profile, and
+ *  llee.profile_samples, read exactly what one noteId per event
+ *  would have recorded. */
+void
+MachineSimulator::fold(Activation &a, const Function *only)
+{
+    EdgeProfile *profile = meter_.profile;
+    if (!profile)
+        return;
+    uint64_t total = 0;
+    for (auto &[chain, counts] : a.tally) {
+        if (only && chain->function()->source() != only)
+            continue;
+        const std::vector<ChainedFunction::Edge> &slots = chain->slots();
+        for (size_t i = 0; i < counts.size(); ++i) {
+            if (!counts[i])
+                continue;
+            profile->noteId(slots[i].first, slots[i].second, counts[i]);
+            total += counts[i];
+            counts[i] = 0;
+        }
+    }
+    if (total)
+        NumProfileSamples += total;
 }
 
 /** Continue after the call at (\p block, \p index) returned: at an
@@ -345,8 +388,11 @@ MachineSimulator::call(Activation &a, ExecResult &r)
             return false;
         }
         if (const ChainedFunction *cc = code_.chained(callee)) {
-            a.frames.push_back({a.chain, a.block, a.index, st.sp});
+            a.frames.push_back(
+                {a.chain, a.block, a.index, st.sp, a.counts});
             a.chain = cc;
+            if (meter_.profile)
+                a.counts = countsFor(a, cc);
             a.block = cc->entry();
             a.index = 0;
             noteEntry(a);
@@ -381,6 +427,7 @@ MachineSimulator::ret(Activation &a, ExecResult &r)
     Frame fr = a.frames.back();
     a.frames.pop_back();
     a.chain = fr.chain;
+    a.counts = fr.counts;
     returnTo(a, fr.block, fr.index);
     return true;
 }
@@ -396,6 +443,7 @@ MachineSimulator::unwind(Activation &a, ExecResult &r)
         const MachineInstr &site = *fr.block->begin[fr.index].mi;
         if (isInvokeSite(site)) {
             a.chain = fr.chain;
+            a.counts = fr.counts;
             a.state.sp = fr.spAtCall;
             a.block = fr.chain->block(invokeBlockOperand(site, 1));
             a.index = 0;

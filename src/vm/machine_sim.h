@@ -29,6 +29,7 @@
 #include <atomic>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 
 #include "support/byte_io.h"
 #include "vm/code_manager.h"
@@ -52,7 +53,8 @@ class MachineSimulator
      * Sampled profiling: record every Nth block-entry event with
      * weight N (1 = exact counting, the default). Estimated totals
      * stay in execution units, so the promotion watermark needs no
-     * rescaling, at 1/N the profile-map traffic.
+     * rescaling. Exact counting is one add into a dense array per
+     * event too, so sampling now saves only those adds.
      */
     void
     setProfileSampleInterval(uint64_t n)
@@ -67,15 +69,24 @@ class MachineSimulator
      * IDs — machine blocks carry their source blocks' names through
      * instruction selection and the mcode cache — so the same
      * profile can seed trace formation on the IR and be persisted
-     * across runs. While profiling, a body below the trace tier asks
-     * the CodeManager whether to promote it (maybePromote) at the
-     * first taken branch of each entry, then again only once the
-     * weight recorded here since reaches the distance to the
-     * watermark that the answer gave. When \p profile is the
-     * manager's attached profile, promotion therefore lands at the
-     * same taken branch as asking on every branch would. Another
-     * thread's replaceFunctionLive() or mergeProfile() is seen at the
-     * next body entry (after a call, return, unwind or pause).
+     * across runs. The block loop counts each event into a dense
+     * slot array of the running activation, one per chain it entered
+     * (vm/chain.h), and folds the counts into \p profile, with their
+     * summed weights, wherever the profile is read: before each
+     * promotion query (the asked function's chains), when a pause
+     * parks the activation, and when the activation ends (a return,
+     * a trap, a blown budget or any exception). \p profile then holds
+     * exactly what recording every event into it would, whenever the
+     * caller, a checkpoint or a promotion looks. While profiling, a
+     * body below the trace tier asks the CodeManager whether to
+     * promote it (maybePromote) at the first taken branch of each
+     * entry, then again only once the weight recorded here since
+     * reaches the distance to the watermark that the answer gave.
+     * When \p profile is the manager's attached profile, promotion
+     * therefore lands at the same taken branch as asking on every
+     * branch would. Another thread's replaceFunctionLive() or
+     * mergeProfile() is seen at the next body entry (after a call,
+     * return, unwind or pause).
      */
     void setProfile(EdgeProfile *profile) { meter_.profile = profile; }
 
@@ -168,10 +179,18 @@ class MachineSimulator
         /** Count one instruction; false once it exceeds the budget. */
         bool tick() { return ++executed <= limit; }
 
-        /** Record the block entry \p from -> \p to if it is the
-         *  sampled one (BlockId{} = entry with no predecessor);
-         *  returns the weight recorded (0 when not sampled). */
-        uint64_t note(BlockId from, BlockId to);
+        /** Add the event's weight to \p slot of the running chain's
+         *  \p counts if it is the sampled one; returns the weight
+         *  recorded (0 when not sampled). */
+        uint64_t
+        note(uint64_t *counts, uint32_t slot)
+        {
+            if (!profile || --countdown)
+                return 0;
+            countdown = interval;
+            counts[slot] += interval;
+            return interval;
+        }
     };
 
     /** Releases an epoch pin when its owner goes away. */
@@ -188,7 +207,14 @@ class MachineSimulator
         const ChainedBlock *block = nullptr;
         size_t index = 0;      ///< instruction index of the call site
         uint64_t spAtCall = 0; ///< sp when the call was made
+        uint64_t *counts = nullptr; ///< chain's slot counts
     };
+
+    /** An activation's profile counts, one slot array per chain it
+     *  entered (indexed by ChainedFunction::slots()). Node-based, so
+     *  the arrays stay put while frames point into them. */
+    using Tally =
+        std::unordered_map<const ChainedFunction *, std::vector<uint64_t>>;
 
     /**
      * One activation of run(): the entry function, the architectural
@@ -197,7 +223,10 @@ class MachineSimulator
      * It pins the reclamation epoch for its whole life — the frames
      * hold raw pointers into chained bodies that a concurrent
      * replaceFunctionLive()/promotion may retire — so a paused
-     * activation carries its pin with it.
+     * activation carries its pin with it. While profiling, it counts
+     * into its own tally, whose keys only that pin keeps alive: the
+     * tally is folded at every pause and at the end, and dies with
+     * the activation.
      */
     struct Activation
     {
@@ -210,8 +239,10 @@ class MachineSimulator
         SimState state;
         std::vector<Frame> frames;
         const ChainedFunction *chain = nullptr;
+        uint64_t *counts = nullptr; ///< chain's slot counts
         const ChainedBlock *block = nullptr;
         size_t index = 0;
+        Tally tally;
     };
 
     // One activation loop (start/resume -> drive) over its two
@@ -228,6 +259,16 @@ class MachineSimulator
     void returnTo(Activation &a, const ChainedBlock *block,
                   size_t index);
     void noteEntry(const Activation &a);
+
+    // The profile tally (see setProfile).
+    /** \p chain's slot counts in \p a's tally, made on first use. */
+    static uint64_t *countsFor(Activation &a,
+                               const ChainedFunction *chain);
+    /** Point \p a and its frames at their chains' counts. */
+    void bindCounts(Activation &a);
+    /** Fold \p a's counts into the profile and zero them: every
+     *  chain's, or with \p only just the chains of that function. */
+    void fold(Activation &a, const Function *only = nullptr);
 
     bool pauseDue(uint64_t executed) const;
     /** Syncs \p m back (by value: the loop's meter never escapes),

@@ -696,3 +696,237 @@ TEST(Adaptive, PromotionOfARecordedModuleKeepsItsIRBlocks)
         EXPECT_EQ(machineNames.front(), irNames.front()) << target;
     }
 }
+
+// --- Where the block loop's counts fold ------------------------------
+//
+// The block loop counts each event into its chain's slot array and
+// folds the arrays into the profile before each promotion query, at
+// a pause and when the activation ends. These runs pin every
+// recorded profile, serialized, to what recording each event
+// straight into the profile gave.
+
+namespace {
+
+// A loop that calls a leaf and invokes a callee that unwinds to the
+// handler on every seventh iteration, then a recursive function.
+const char *kFoldPoints = R"(
+internal int %leaf(int %x) {
+entry:
+    %odd = rem int %x, 2
+    %isodd = seteq int %odd, 1
+    br bool %isodd, label %o, label %e
+o:
+    %a = mul int %x, 3
+    br label %done
+e:
+    %b = add int %x, 7
+    br label %done
+done:
+    %r = phi int [ %a, %o ], [ %b, %e ]
+    ret int %r
+}
+internal int %check(int %x) {
+entry:
+    %r = rem int %x, 7
+    %bad = seteq int %r, 3
+    br bool %bad, label %throw, label %fine
+throw:
+    unwind
+fine:
+    ret int %x
+}
+internal int %fib(int %n) {
+entry:
+    %small = setlt int %n, 2
+    br bool %small, label %base, label %rec
+base:
+    ret int %n
+rec:
+    %n1 = sub int %n, 1
+    %a = call int %fib(int %n1)
+    %n2 = sub int %n, 2
+    %b = call int %fib(int %n2)
+    %s = add int %a, %b
+    ret int %s
+}
+int %main() {
+entry:
+    br label %loop
+loop:
+    %j = phi int [ 0, %entry ], [ %j2, %next ]
+    %acc = phi int [ 0, %entry ], [ %acc3, %next ]
+    %w = call int %leaf(int %j)
+    %acc2 = add int %acc, %w
+    %c = invoke int %check(int %j) to label %ok unwind label %caught
+ok:
+    br label %next
+caught:
+    br label %next
+next:
+    %v = phi int [ %c, %ok ], [ 1000, %caught ]
+    %acc3 = add int %acc2, %v
+    %j2 = add int %j, 1
+    %more = setlt int %j2, 300
+    br bool %more, label %loop, label %out
+out:
+    %f = call int %fib(int 12)
+    %r = add int %acc3, %f
+    ret int %r
+}
+)";
+
+constexpr uint64_t kFoldWatermark = 300;
+
+/** A recorded profile, pinned: its total weight and the hash of its
+ *  serialized bytes. */
+struct Pin
+{
+    uint64_t samples = 0;
+    uint64_t bytes = 0;
+
+    bool
+    operator==(const Pin &o) const
+    {
+        return samples == o.samples && bytes == o.bytes;
+    }
+};
+
+std::ostream &
+operator<<(std::ostream &os, const Pin &p)
+{
+    return os << "{" << p.samples << ", 0x" << std::hex << p.bytes
+              << std::dec << "}";
+}
+
+Pin
+pinOf(const EdgeProfile &p)
+{
+    return {p.samples, fnv1a(writeEdgeProfile(p))};
+}
+
+/** Run main, which must match the interpreter. */
+void
+runMatching(MachineSimulator &sim, Module &m, const std::string &what)
+{
+    ExecResult r = sim.run(m.getFunction("main"));
+    ExecutionContext refCtx(m);
+    Interpreter interp(refCtx);
+    ExecResult want = interp.run(m.getFunction("main"));
+    ASSERT_TRUE(r.ok()) << what;
+    EXPECT_EQ(r.value.i, want.value.i) << what;
+}
+
+} // namespace
+
+TEST(Adaptive, FoldedProfileMatchesEveryEventRecorded)
+{
+    // -O0 runs the IR's own CFG. The adaptive run promotes leaf,
+    // check, fib and main mid-run, each after a fold of its counts;
+    // the warm run is their trace-tier bodies from the first call.
+    // Block IDs name IR blocks, so all of them count the same events.
+    const Pin want{3632, 0x3d024d3e29f2baa8};
+    for (const std::string &target : targetNames()) {
+        auto m = parseAssembly(kFoldPoints).orDie();
+        verifyOrDie(*m);
+        EdgeProfile o0;
+        {
+            CodeManager cm(*getTarget(target), CodeGenOptions{});
+            ExecutionContext ctx(*m);
+            MachineSimulator sim(ctx, cm);
+            sim.setProfile(&o0);
+            runMatching(sim, *m, target + " -O0");
+        }
+        CodeManager cm(*getTarget(target), adaptiveOpts(kFoldWatermark));
+        EdgeProfile promoting, warm;
+        cm.setAdaptive(&promoting, kFoldWatermark);
+        for (EdgeProfile *p : {&promoting, &warm}) {
+            ExecutionContext ctx(*m);
+            MachineSimulator sim(ctx, cm);
+            sim.setProfile(p);
+            runMatching(sim, *m, target + " -O2+traces");
+        }
+        EXPECT_EQ(cm.promotions(), 4u) << target;
+        EXPECT_EQ(pinOf(o0), want) << target << " -O0";
+        EXPECT_EQ(pinOf(promoting), want) << target << " promoting";
+        EXPECT_EQ(pinOf(warm), want) << target << " warm";
+    }
+}
+
+TEST(Adaptive, BudgetStopKeepsTheCountsRecordedBeforeIt)
+{
+    // The budget runs out mid-loop, after some promotions: the
+    // FatalError leaves every event before it in the profile.
+    const std::map<std::string, Pin> want = {
+        {"x86", {1031, 0x9d26a36e58e5c031}},
+        {"sparc", {1430, 0xffb9a316e7a9afa4}},
+        {"riscv", {1527, 0x9f667f6b7de028b7}},
+    };
+    for (const std::string &target : targetNames()) {
+        auto m = parseAssembly(kFoldPoints).orDie();
+        CodeManager cm(*getTarget(target), adaptiveOpts(kFoldWatermark));
+        EdgeProfile profile;
+        cm.setAdaptive(&profile, kFoldWatermark);
+        ExecutionContext ctx(*m);
+        MachineSimulator sim(ctx, cm);
+        sim.setProfile(&profile);
+        sim.setInstructionLimit(6000);
+        EXPECT_THROW(sim.run(m->getFunction("main")), FatalError)
+            << target;
+        EXPECT_GE(cm.promotions(), 1u) << target;
+        EXPECT_EQ(pinOf(profile), want.at(target)) << target;
+    }
+}
+
+TEST(Adaptive, RunAfterInvalidationCountsTwice)
+{
+    // The second run enters a new chain of main, built after the
+    // first one was retired and freed: nothing counted against the
+    // old chain may leak into the new one.
+    for (const std::string &target : targetNames()) {
+        auto m = parseAssembly(kFoldPoints).orDie();
+        CodeManager cm(*getTarget(target), CodeGenOptions{});
+        ExecutionContext ctx(*m);
+        MachineSimulator sim(ctx, cm);
+        EdgeProfile profile;
+        sim.setProfile(&profile);
+        runMatching(sim, *m, target);
+        EdgeProfile twice = profile;
+        twice.merge(profile);
+
+        const size_t reclaimed = cm.reclaimedObjects();
+        cm.invalidate(m->getFunction("main"));
+        EXPECT_EQ(cm.retiredBodies(), 0u) << target;
+        EXPECT_EQ(cm.reclaimedObjects(), reclaimed + 1) << target;
+        runMatching(sim, *m, target + " again");
+        EXPECT_EQ(writeEdgeProfile(profile), writeEdgeProfile(twice))
+            << target;
+    }
+}
+
+TEST(Adaptive, PausedRunHoldsEveryEventWhileParked)
+{
+    // Parked mid-loop, after some promotions: the profile already
+    // holds every event before the pause (a checkpoint reads it
+    // there), and the resumed run ends with the whole run's profile.
+    const std::map<std::string, Pin> want = {
+        {"x86", {1031, 0x9d26a36e58e5c031}},
+        {"sparc", {1431, 0x1289fed4b72f3807}},
+        {"riscv", {1528, 0x802b894b23b0a7f9}},
+    };
+    for (const std::string &target : targetNames()) {
+        auto m = parseAssembly(kFoldPoints).orDie();
+        CodeManager cm(*getTarget(target), adaptiveOpts(kFoldWatermark));
+        EdgeProfile profile;
+        cm.setAdaptive(&profile, kFoldWatermark);
+        ExecutionContext ctx(*m);
+        MachineSimulator sim(ctx, cm);
+        sim.setProfile(&profile);
+        sim.setPauseAt(6000);
+        ASSERT_TRUE(sim.run(m->getFunction("main")).paused) << target;
+        EXPECT_GE(cm.promotions(), 1u) << target;
+        EXPECT_EQ(pinOf(profile), want.at(target)) << target;
+        ASSERT_TRUE(sim.resume().ok()) << target;
+        EXPECT_EQ(pinOf(profile), (Pin{3632, 0x3d024d3e29f2baa8}))
+            << target;
+    }
+}

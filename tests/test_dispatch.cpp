@@ -222,11 +222,12 @@ TEST_P(DispatchSuite, PausedWarmRunMatchesInterpreter)
 {
     // Pausing parks the activation at a pause point — a body's entry
     // or a block transition — and resume() must continue it exactly:
-    // the same answer, and not one instruction more or less than the
-    // same warm run left alone.
+    // the same answer, not one instruction more or less than the
+    // same warm run left alone, and the same profile, byte for byte.
     const Oracle want = interpret(GetParam());
     for (const std::string &target : targetNames()) {
         uint64_t total = 0;
+        std::vector<uint8_t> profile;
         {
             Resident res(GetParam(), target);
             ExecutionContext ctx(*res.m);
@@ -234,6 +235,7 @@ TEST_P(DispatchSuite, PausedWarmRunMatchesInterpreter)
             sim.setProfile(&res.profile);
             ASSERT_TRUE(sim.run(res.main()).ok()) << target;
             total = sim.instructionsExecuted();
+            profile = writeEdgeProfile(res.profile);
         }
         const uint64_t k = total / 50 + 1;
 
@@ -254,6 +256,7 @@ TEST_P(DispatchSuite, PausedWarmRunMatchesInterpreter)
         EXPECT_EQ(r.value.i, want.value) << target;
         EXPECT_EQ(ctx.output(), want.output) << target;
         EXPECT_EQ(sim.instructionsExecuted(), total) << target;
+        EXPECT_EQ(writeEdgeProfile(res.profile), profile) << target;
     }
 }
 
